@@ -229,11 +229,12 @@ impl PppArchiver {
             Some(s) => s.disk,
             None => return (Vec::new(), QueryCost::default()),
         };
+        let before = self.disks[disk_idx].stats().pages_read;
         let (mut records, secs) = self.disks[disk_idx].read_matching(
             |p| p.contains_object(oid) && p.max_ts_us >= from_us && p.min_ts_us <= to_us,
             |r| r.oid == oid && (from_us..=to_us).contains(&r.ts_us),
         );
-        let pages = self.disks[disk_idx].stats().pages_read;
+        let pages = self.disks[disk_idx].stats().pages_read - before;
         // Merge the in-memory window (records not yet aged to disk).
         for r in self.recent_records(oid) {
             if (from_us..=to_us).contains(&r.ts_us) && !records.iter().any(|x| x.ts_us == r.ts_us) {
@@ -395,6 +396,21 @@ mod tests {
         let (none, c0) = a.query_object(999, 0, 100);
         assert!(none.is_empty());
         assert_eq!(c0, QueryCost::default());
+    }
+
+    #[test]
+    fn object_query_reports_its_own_pages_not_the_disk_total() {
+        let a = PppArchiver::new(space(), config());
+        for ts in 0..8u64 {
+            a.ingest(rec(1, ts, 100.0, 100.0), ts * 1_000_000);
+        }
+        a.flush_all();
+        let (_, first) = a.query_object(1, 0, 100);
+        assert!(first.pages_read > 0, "the archived page must be read");
+        // The same query again reads the same pages: its cost is its own,
+        // not the disk's running total.
+        let (_, second) = a.query_object(1, 0, 100);
+        assert_eq!(second.pages_read, first.pages_read);
     }
 
     #[test]

@@ -13,78 +13,13 @@
 //! paper cites (its ref. 6); MOIST runs with the BigTable profile. Both indexes
 //! execute their real algorithms; only the per-op cost constants differ.
 
-use moist::baselines::{BxConfig, BxTree};
 use moist::bigtable::{Bigtable, Timestamp};
 use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
-use moist::spatial::{Rect, Space};
-use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig, UniformSim};
-use moist_bench::{disk_btree_profile, smoke_mode, Figure, Series, STORE_WRITE_CAPACITY_OPS};
-
-fn moist_update_qps(n: u64, measured_updates: usize) -> f64 {
-    let cfg = MoistConfig::without_schooling();
-    let store = Bigtable::new();
-    let mut server = MoistServer::new(&store, cfg).expect("server");
-    let world = Rect::new(0.0, 0.0, 1000.0, 1000.0);
-    let mut sim = UniformSim::new(world, n, 2.0, 5.0, 5).with_velocity_walk(0.5);
-    // Register everyone (charged, then reset).
-    for (oid, loc, vel) in sim.positions() {
-        server
-            .update(&UpdateMessage {
-                oid: ObjectId(oid),
-                loc,
-                vel,
-                ts: Timestamp::from_secs(1),
-            })
-            .expect("register");
-    }
-    server.session_mut().reset();
-    let updates = sim.next_updates(measured_updates);
-    for u in &updates {
-        server
-            .update(&UpdateMessage {
-                oid: ObjectId(u.oid),
-                loc: u.loc,
-                vel: u.vel,
-                ts: Timestamp::from_secs_f64(1.0 + u.at_secs),
-            })
-            .expect("update");
-    }
-    updates.len() as f64 / (server.elapsed_us() / 1e6)
-}
-
-fn bx_update_qps(n: u64, measured_updates: usize) -> f64 {
-    let store = Bigtable::new();
-    let mut tree = BxTree::new(
-        &store,
-        Space::paper_map(),
-        BxConfig {
-            v_max: 3.0,
-            ..BxConfig::default()
-        },
-        "bx_headline",
-    )
-    .expect("bxtree");
-    let mut session = store.session_with(disk_btree_profile());
-    let world = Rect::new(0.0, 0.0, 1000.0, 1000.0);
-    let mut sim = UniformSim::new(world, n, 2.0, 5.0, 5).with_velocity_walk(0.5);
-    for (oid, loc, vel) in sim.positions() {
-        tree.update(&mut session, oid, &loc, &vel, Timestamp::from_secs(1))
-            .expect("insert");
-    }
-    session.reset();
-    let updates = sim.next_updates(measured_updates);
-    for u in &updates {
-        tree.update(
-            &mut session,
-            u.oid,
-            &u.loc,
-            &u.vel,
-            Timestamp::from_secs_f64(1.0 + u.at_secs),
-        )
-        .expect("update");
-    }
-    updates.len() as f64 / (session.elapsed_us() / 1e6)
-}
+use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
+use moist_bench::{
+    bx_update_qps, moist_update_qps, smoke_mode, Figure, Series, HEADLINE_SMOKE_ROWS,
+    STORE_WRITE_CAPACITY_OPS,
+};
 
 /// The §1 shed claim, measured on the road network at school-friendly
 /// parameters (dense co-movement, generous ε — the deployment regime).
@@ -130,7 +65,8 @@ fn main() {
     // drift from the paper's but every code path still runs end to end.
     let smoke = smoke_mode();
     let (population, measured, shed_agents, shed_secs) = if smoke {
-        (60_000, 5_000, 300, 120.0)
+        let (population, measured) = HEADLINE_SMOKE_ROWS;
+        (population, measured, 300, 120.0)
     } else {
         (1_000_000, 30_000, 1000, 240.0)
     };

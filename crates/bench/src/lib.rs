@@ -7,7 +7,11 @@
 
 #![warn(missing_docs)]
 
-use moist::bigtable::CostProfile;
+use moist::baselines::{BxConfig, BxTree};
+use moist::bigtable::{Bigtable, CostProfile, Timestamp};
+use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
+use moist::spatial::{Rect, Space};
+use moist::workload::UniformSim;
 use serde::Serialize;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -174,6 +178,81 @@ pub fn disk_btree_profile() -> CostProfile {
         wal_fsync_us: 220.0,
         wal_replay_us: 2.0,
     }
+}
+
+/// `(objects, measured updates)` of the `headline` figure's smoke run.
+pub const HEADLINE_SMOKE_ROWS: (u64, usize) = (60_000, 5_000);
+
+/// Single-server MOIST update throughput, in updates per virtual second,
+/// at `n` objects with schooling off: registers a [`UniformSim`]
+/// population, then applies `measured_updates` reports of its velocity
+/// walk. Row 2 of the `headline` figure.
+pub fn moist_update_qps(n: u64, measured_updates: usize) -> f64 {
+    let cfg = MoistConfig::without_schooling();
+    let store = Bigtable::new();
+    let mut server = MoistServer::new(&store, cfg).expect("server");
+    let world = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+    let mut sim = UniformSim::new(world, n, 2.0, 5.0, 5).with_velocity_walk(0.5);
+    // Register everyone (charged, then reset).
+    for (oid, loc, vel) in sim.positions() {
+        server
+            .update(&UpdateMessage {
+                oid: ObjectId(oid),
+                loc,
+                vel,
+                ts: Timestamp::from_secs(1),
+            })
+            .expect("register");
+    }
+    server.session_mut().reset();
+    let updates = sim.next_updates(measured_updates);
+    for u in &updates {
+        server
+            .update(&UpdateMessage {
+                oid: ObjectId(u.oid),
+                loc: u.loc,
+                vel: u.vel,
+                ts: Timestamp::from_secs_f64(1.0 + u.at_secs),
+            })
+            .expect("update");
+    }
+    updates.len() as f64 / (server.elapsed_us() / 1e6)
+}
+
+/// The Bx-tree's update throughput on the same population and reports,
+/// priced with [`disk_btree_profile`]. Row 1 of the `headline` figure.
+pub fn bx_update_qps(n: u64, measured_updates: usize) -> f64 {
+    let store = Bigtable::new();
+    let mut tree = BxTree::new(
+        &store,
+        Space::paper_map(),
+        BxConfig {
+            v_max: 3.0,
+            ..BxConfig::default()
+        },
+        "bx_headline",
+    )
+    .expect("bxtree");
+    let mut session = store.session_with(disk_btree_profile());
+    let world = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+    let mut sim = UniformSim::new(world, n, 2.0, 5.0, 5).with_velocity_walk(0.5);
+    for (oid, loc, vel) in sim.positions() {
+        tree.update(&mut session, oid, &loc, &vel, Timestamp::from_secs(1))
+            .expect("insert");
+    }
+    session.reset();
+    let updates = sim.next_updates(measured_updates);
+    for u in &updates {
+        tree.update(
+            &mut session,
+            u.oid,
+            &u.loc,
+            &u.vel,
+            Timestamp::from_secs_f64(1.0 + u.at_secs),
+        )
+        .expect("update");
+    }
+    updates.len() as f64 / (session.elapsed_us() / 1e6)
 }
 
 /// Aggregate write capacity of the shared store, ops per virtual second.

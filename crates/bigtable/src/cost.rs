@@ -16,7 +16,8 @@
 //! The default constants are chosen so one leader update (an Affiliation
 //! read, a Location write, a two-mutation Spatial-Index batch and an L/F
 //! refresh) lands near the paper's ≈0.127 ms (`8k+ updates/s` on one
-//! server, §4.3.2). Everything else — shedding gains, clustering latencies,
+//! server, §4.3.2). `crates/bench/tests/calibration.rs` pins that end to
+//! end: the real update path on a 1M-object table costs 100–200 µs. Everything else — shedding gains, clustering latencies,
 //! NN QPS — *emerges* from op counts, not from further tuning.
 
 use serde::{Deserialize, Serialize};
@@ -343,27 +344,6 @@ impl MeterHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_profile_lands_near_the_papers_update_cost() {
-        // One leader update at 1M rows: Affiliation point read + Location
-        // 1-mutation write + Spatial 2-row batch (delete+put) + Affiliation
-        // L/F refresh write (the leaf-tracking write of Algorithm 1).
-        let p = CostProfile::default();
-        let rows = 1_000_000;
-        let us = p.point_read_us(rows, 24, false)
-            + p.write_us(rows, 1, 40)
-            + p.batch_write_us(2, 2, 40)
-            + p.write_us(rows, 1, 33);
-        // The paper reports "less than 0.2 ms" amortised per update and
-        // 7,875 QPS at 1M objects — i.e. ~0.127 ms.
-        assert!(
-            us > 100.0 && us < 200.0,
-            "update cost {us} µs off-calibration"
-        );
-        let qps = 1e6 / us;
-        assert!(qps > 5_000.0 && qps < 10_000.0, "QPS {qps} off-calibration");
-    }
 
     #[test]
     fn batch_rows_are_cheaper_than_point_ops() {

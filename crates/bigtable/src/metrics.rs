@@ -18,6 +18,7 @@ pub struct Metrics {
     scan_ops: AtomicU64,
     rows_scanned: AtomicU64,
     batch_ops: AtomicU64,
+    cas_ops: AtomicU64,
     wal_appends: AtomicU64,
     wal_bytes: AtomicU64,
     wal_fsyncs: AtomicU64,
@@ -45,6 +46,9 @@ pub struct MetricsSnapshot {
     pub rows_scanned: u64,
     /// Batch mutate-rows RPCs issued.
     pub batch_ops: u64,
+    /// Check-and-mutate RPCs issued. Each also counts one read, plus one
+    /// write when its guard matched.
+    pub cas_ops: u64,
     /// WAL records appended (one per write RPC on a durable table).
     pub wal_appends: u64,
     /// WAL bytes appended (frame headers + payloads).
@@ -68,6 +72,7 @@ impl MetricsSnapshot {
             scan_ops: self.scan_ops.saturating_sub(earlier.scan_ops),
             rows_scanned: self.rows_scanned.saturating_sub(earlier.rows_scanned),
             batch_ops: self.batch_ops.saturating_sub(earlier.batch_ops),
+            cas_ops: self.cas_ops.saturating_sub(earlier.cas_ops),
             wal_appends: self.wal_appends.saturating_sub(earlier.wal_appends),
             wal_bytes: self.wal_bytes.saturating_sub(earlier.wal_bytes),
             wal_fsyncs: self.wal_fsyncs.saturating_sub(earlier.wal_fsyncs),
@@ -105,6 +110,10 @@ impl Metrics {
         let _ = rows;
     }
 
+    pub(crate) fn record_cas(&self) {
+        self.cas_ops.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn record_wal_append(&self, bytes: u64, fsynced: bool) {
         self.wal_appends.fetch_add(1, Ordering::Relaxed);
         self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -134,6 +143,7 @@ impl Metrics {
             scan_ops: self.scan_ops.load(Ordering::Relaxed),
             rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
             batch_ops: self.batch_ops.load(Ordering::Relaxed),
+            cas_ops: self.cas_ops.load(Ordering::Relaxed),
             wal_appends: self.wal_appends.load(Ordering::Relaxed),
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
             wal_fsyncs: self.wal_fsyncs.load(Ordering::Relaxed),

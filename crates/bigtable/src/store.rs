@@ -279,6 +279,7 @@ impl Bigtable {
             total.scan_ops += s.scan_ops;
             total.rows_scanned += s.rows_scanned;
             total.batch_ops += s.batch_ops;
+            total.cas_ops += s.cas_ops;
             total.wal_appends += s.wal_appends;
             total.wal_bytes += s.wal_bytes;
             total.wal_fsyncs += s.wal_fsyncs;

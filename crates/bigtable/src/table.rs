@@ -474,6 +474,7 @@ impl Table {
             }
         };
         self.note_row_delta(delta);
+        self.metrics.record_cas();
         self.metrics.record_read(1, u64::from(applied), 0);
         if applied {
             self.metrics
@@ -1062,6 +1063,10 @@ mod tests {
             )
             .unwrap();
         assert!(!claimed);
+        // Each check-and-mutate counts as a CAS and a read, plus a write
+        // only when it applied.
+        let snap = t.metrics().snapshot();
+        assert_eq!((snap.cas_ops, snap.read_ops, snap.write_ops), (2, 2, 1));
         assert_eq!(
             t.get_latest(&key, "mem", "owner")
                 .unwrap()

@@ -15,7 +15,7 @@
 //!    followers. A leader whose row changed since the scan (it updated or
 //!    moved concurrently on another shard) fails the guard and its merge
 //!    is aborted for this round — clustering never demotes a live leader
-//!    out from under a racing cross-cell move.
+//!    out from under a racing cross-route move.
 //!
 //! The per-phase virtual latencies are reported so Figure 10's
 //! read/compute/write breakdown can be regenerated.
@@ -133,15 +133,17 @@ pub fn cluster_cell(
     // ---- write phase ----
     //
     // Each absorbed leader commits through per-row guards rather than one
-    // blind batch, because a cross-cell move is applied by the
-    // *destination* cell's owner — a different shard, outside this cell's
-    // serialization:
+    // blind batch, because a move is applied by the *destination* leaf's
+    // owner. A move that stays inside this cell's level+1 child shares
+    // the routing key and waits on this shard's lock; a move across a
+    // level+1 boundary may run on another shard, outside this cell's
+    // serialization (see `crate::update`):
     //
     // * the **commit point** is a check-and-mutate delete of j's spatial
     //   row (fails ⇒ j moved since the scan ⇒ j's merge aborts whole);
-    //   the update path's cross-cell move deletes through the same guard
-    //   ([`MoistTables::spatial_move_guarded`]), so exactly one side wins
-    //   and an absorbed leader can never be resurrected;
+    //   the update path's cross-route move deletes through the same guard
+    //   ([`MoistTables::spatial_check_and_delete_value`]), so exactly one
+    //   side wins and an absorbed leader can never be resurrected;
     // * each **follower re-affiliation** is a check-and-mutate on the
     //   follower's L/F record (fails ⇒ the follower promoted since the
     //   scan ⇒ it keeps its self-chosen affiliation and the school add is
@@ -613,6 +615,19 @@ impl SplitTable {
         } else {
             cell
         }
+    }
+
+    /// The cell containing leaf index `leaf` at the finest level any split
+    /// table routes at: `clustering_level + 1` (the leaf level itself when
+    /// clustering runs there). Two leaves with equal split-safe cells share
+    /// a routing key under *every* split table — an unsplit cell holds
+    /// whole level+1 cells, and a split cell routes by exactly them — so an
+    /// update moving between them serializes with both cells' clustering
+    /// on one owner's lock, whatever the split table says now or after a
+    /// rebalance.
+    pub fn split_safe_cell(leaf: u64, clustering_level: u8, leaf_level: u8) -> u64 {
+        let level = (clustering_level + 1).min(leaf_level);
+        leaf >> (2 * (leaf_level - level) as u64)
     }
 
     /// Every routing key of the clustering level under this table: each
@@ -1420,6 +1435,37 @@ mod tests {
             }
         }
         assert_eq!(covered.len() as u64, 1 << (2 * ll));
+    }
+
+    #[test]
+    fn split_safe_cells_share_a_routing_key_under_every_split_table() {
+        let (cl, ll) = (2u8, 5u8);
+        let cells = cells_at_level(cl);
+        // A leaf's routing key depends only on whether its own clustering
+        // cell is split, so no split, all split, each single cell split
+        // and two alternating patterns cover every split table.
+        let full = (1u32 << cells) - 1;
+        let masks = [0, full, 0x5555 & full, 0xAAAA & full]
+            .into_iter()
+            .chain((0..cells).map(|c| 1u32 << c));
+        for mask in masks {
+            let mut splits = SplitTable::new();
+            for cell in (0..cells).filter(|c| mask & (1 << c) != 0) {
+                splits.split(cell);
+            }
+            for leaf in (0..1u64 << (2 * ll)).step_by(7) {
+                let safe = SplitTable::split_safe_cell(leaf, cl, ll);
+                let twin = (safe << (2 * (ll - cl - 1))) + (leaf * 13) % (1 << (2 * (ll - cl - 1)));
+                assert_eq!(SplitTable::split_safe_cell(twin, cl, ll), safe);
+                assert_eq!(
+                    splits.route_leaf(leaf, cl, ll),
+                    splits.route_leaf(twin, cl, ll),
+                    "leaves {leaf} and {twin} share split-safe cell {safe}"
+                );
+            }
+        }
+        // Clustering at the leaf level: only the leaf itself is safe.
+        assert_eq!(SplitTable::split_safe_cell(9, 4, 4), 9);
     }
 
     #[test]

@@ -183,7 +183,7 @@ use crate::config::MoistConfig;
 use crate::controller::{
     AutoController, ControllerAction, ControllerConfig, ControllerEvent, Plan,
 };
-use crate::error::{MoistError, Result};
+use crate::error::{check_centre, check_rect, MoistError, Result};
 use crate::ids::ObjectId;
 use crate::ingest::{
     BackpressurePolicy, EnqueueResult, FlushKind, IngestConfig, IngestQueues, IngestStats,
@@ -1792,12 +1792,7 @@ impl MoistCluster {
     /// deadline flush, or by the drain every epoch bump and
     /// [`drain_ingest`](MoistCluster::drain_ingest) call performs.
     pub fn submit(&self, msg: &UpdateMessage) -> Result<SubmitOutcome> {
-        if !msg.loc.is_finite() || !msg.vel.is_finite() {
-            return Err(MoistError::Inconsistent(format!(
-                "non-finite update for {}",
-                msg.oid
-            )));
-        }
+        msg.validate()?;
         let leaf = self.cfg.space.leaf_cell(&msg.loc).index;
         let snap = self.snapshot();
         let shard = snap.owner_of(snap.route_leaf(leaf, &self.cfg)).id;
@@ -1868,6 +1863,7 @@ impl MoistCluster {
     /// plain Algorithm 2 answer. Rings on one shard skip the scatter
     /// entirely — the current anchor-routed path.
     pub fn nn(&self, center: Point, k: usize, at: Timestamp) -> Result<(Vec<Neighbor>, NnStats)> {
+        check_centre(&center)?;
         let leaf = self.cfg.space.leaf_cell(&center).index;
         let snap = self.snapshot();
         let (entry, follower) = self.read_replica(&snap, snap.route_leaf(leaf, &self.cfg));
@@ -1967,6 +1963,7 @@ impl MoistCluster {
         at: Timestamp,
         nn_level: u8,
     ) -> Result<(Vec<Neighbor>, NnStats)> {
+        check_centre(&center)?;
         let leaf = self.cfg.space.leaf_cell(&center).index;
         let snap = self.snapshot();
         let (entry, follower) = self.read_replica(&snap, snap.route_leaf(leaf, &self.cfg));
@@ -2005,6 +2002,7 @@ impl MoistCluster {
         at: Timestamp,
         margin: f64,
     ) -> Result<(Vec<Neighbor>, RegionStats)> {
+        check_rect(rect)?;
         let clustering_level = self.cfg.clustering_level;
         let leaf_level = self.cfg.space.leaf_level;
         let mut pending = plan_region_ranges(&self.cfg, rect, margin);
@@ -2861,7 +2859,7 @@ mod tests {
             .rebalance(Timestamp::from_secs(40))
             .expect_err("a failing drain must fail the rebalance");
         assert!(
-            matches!(err, MoistError::Inconsistent(_)),
+            matches!(err, MoistError::InvalidInput(_)),
             "wrong error: {err:?}"
         );
         // The failure is in the drain, not the placement: the routing

@@ -15,6 +15,10 @@ pub enum MoistError {
     Inconsistent(String),
     /// Invalid configuration.
     Config(String),
+    /// A caller-supplied update or query argument is malformed (e.g. a
+    /// non-finite location, velocity, query centre or rectangle). Nothing
+    /// was read or written: the caller owns the fix.
+    InvalidInput(String),
     /// A cluster-tier operation addressed a shard that is not in the
     /// current membership (position past the end, unknown shard id, or
     /// removing the last live shard). Failover code paths match on this
@@ -40,6 +44,7 @@ impl fmt::Display for MoistError {
             MoistError::Codec(msg) => write!(f, "codec error: {msg}"),
             MoistError::Inconsistent(msg) => write!(f, "inconsistent state: {msg}"),
             MoistError::Config(msg) => write!(f, "bad configuration: {msg}"),
+            MoistError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
             MoistError::NoSuchShard(msg) => write!(f, "no such shard: {msg}"),
             MoistError::Backpressure { shard, depth } => {
                 write!(
@@ -68,6 +73,29 @@ impl From<BigtableError> for MoistError {
 
 /// Result alias for MOIST operations.
 pub type Result<T> = std::result::Result<T, MoistError>;
+
+/// Rejects a non-finite query centre before it reaches routing or a scan.
+pub(crate) fn check_centre(center: &moist_spatial::Point) -> Result<()> {
+    if center.is_finite() {
+        Ok(())
+    } else {
+        Err(MoistError::InvalidInput(format!(
+            "non-finite query centre ({}, {})",
+            center.x, center.y
+        )))
+    }
+}
+
+/// Rejects a region query rectangle with a non-finite corner.
+pub(crate) fn check_rect(rect: &moist_spatial::Rect) -> Result<()> {
+    if rect.is_finite() {
+        Ok(())
+    } else {
+        Err(MoistError::InvalidInput(format!(
+            "non-finite query rectangle {rect:?}"
+        )))
+    }
+}
 
 #[cfg(test)]
 mod tests {

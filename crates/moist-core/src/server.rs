@@ -27,7 +27,7 @@
 
 use crate::cluster::{cluster_cell, ClusterReport, ClusterScheduler};
 use crate::config::MoistConfig;
-use crate::error::{MoistError, Result};
+use crate::error::{check_centre, check_rect, MoistError, Result};
 use crate::flag::{FlagLookup, FlagStats, FlagTuner};
 use crate::ids::ObjectId;
 use crate::load::{CellRates, LoadTracker};
@@ -417,6 +417,7 @@ impl MoistServer {
 
     /// k-nearest-neighbour query with FLAG-tuned level.
     pub fn nn(&self, center: Point, k: usize, at: Timestamp) -> Result<(Vec<Neighbor>, NnStats)> {
+        check_centre(&center)?;
         // One session threads FLAG's probes and the NN scan, so the
         // charge sequence matches the old shared-session design exactly.
         let mut s = self.charged_session();
@@ -433,6 +434,7 @@ impl MoistServer {
         at: Timestamp,
         nn_level: u8,
     ) -> Result<(Vec<Neighbor>, NnStats)> {
+        check_centre(&center)?;
         self.nn_with_options(center, at, &NnOptions::new(k, nn_level))
     }
 
@@ -517,6 +519,7 @@ impl MoistServer {
         at: Timestamp,
         margin: f64,
     ) -> Result<(Vec<Neighbor>, crate::region::RegionStats)> {
+        check_rect(rect)?;
         let cell = self
             .cfg
             .space

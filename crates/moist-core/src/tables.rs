@@ -238,35 +238,6 @@ impl MoistTables {
         Ok(())
     }
 
-    /// Moves a leader's entry between cells in one batch RPC (delete old row
-    /// + put new row — Algorithm 1, line 3).
-    pub fn spatial_move(
-        &self,
-        s: &mut Session,
-        old_leaf: u64,
-        new_leaf: u64,
-        oid: ObjectId,
-        rec: &LocationRecord,
-        ts: Timestamp,
-    ) -> Result<()> {
-        let put = RowMutation::new(
-            Self::spatial_key(new_leaf, oid),
-            vec![Mutation::put(
-                cols::SPATIAL,
-                cols::SPATIAL_Q,
-                ts,
-                rec.encode().to_vec(),
-            )],
-        );
-        if old_leaf == new_leaf {
-            s.mutate_rows(&self.spatial, &[put])?;
-        } else {
-            let del = RowMutation::new(Self::spatial_key(old_leaf, oid), vec![Mutation::DeleteRow]);
-            s.mutate_rows(&self.spatial, &[del, put])?;
-        }
-        Ok(())
-    }
-
     /// All leaders inside `cell` (any level): one contiguous range scan over
     /// the cell's descendant leaf range.
     pub fn spatial_scan_cell(
@@ -361,50 +332,22 @@ impl MoistTables {
         )?)
     }
 
-    /// Moves a leader's entry between leaves **guarded**: the old row is
-    /// deleted only if it is still present with its current value (one
-    /// check-and-mutate under the tablet lock), and the new row is
-    /// written only after winning that delete. Returns `false` — nothing
-    /// written — when the old row is gone or changed: a clustering merge
-    /// absorbed the object concurrently (its commit deletes the row
-    /// through the same guard, see
-    /// [`spatial_check_and_delete`](MoistTables::spatial_check_and_delete)),
-    /// and rewriting the entry would resurrect an absorbed leader. The
-    /// old spatial row is thus the *mutual-exclusion point* between a
-    /// cross-cell move and the old cell's merge: exactly one of the two
-    /// deletes it, and the loser backs off.
-    pub fn spatial_move_guarded(
-        &self,
-        s: &mut Session,
-        old_leaf: u64,
-        new_leaf: u64,
-        oid: ObjectId,
-        rec: &LocationRecord,
-        ts: Timestamp,
-    ) -> Result<bool> {
-        let old_key = Self::spatial_key(old_leaf, oid);
-        let Some(cell) = s.get_latest(&self.spatial, &old_key, cols::SPATIAL, cols::SPATIAL_Q)?
-        else {
-            return Ok(false);
-        };
-        if !s.check_and_mutate(
-            &self.spatial,
-            &old_key,
-            cols::SPATIAL,
-            cols::SPATIAL_Q,
-            Some(&cell.value),
-            &[Mutation::DeleteRow],
-        )? {
-            return Ok(false);
-        }
-        self.spatial_insert(s, new_leaf, oid, rec, ts)?;
-        Ok(true)
-    }
-
     // ---------- Affiliation Table ----------
 
     /// The L/F record of `oid` (None for never-seen objects).
     pub fn lf(&self, s: &mut Session, oid: ObjectId) -> Result<Option<LfRecord>> {
+        Ok(self.lf_versioned(s, oid)?.map(|(_, lf)| lf))
+    }
+
+    /// The L/F record of `oid` *with its head timestamp* — line 1 of
+    /// Algorithm 1 reads it once and clamps the leader's `last_leaf`
+    /// write against that timestamp locally ([`supersede_ts`]) instead of
+    /// re-reading the head.
+    pub fn lf_versioned(
+        &self,
+        s: &mut Session,
+        oid: ObjectId,
+    ) -> Result<Option<(Timestamp, LfRecord)>> {
         match s.get_latest(
             &self.affiliation,
             &RowKey::from_u64(oid.0),
@@ -412,7 +355,7 @@ impl MoistTables {
             cols::LF_Q,
         )? {
             None => Ok(None),
-            Some(cell) => Ok(Some(LfRecord::decode(&cell.value)?)),
+            Some(cell) => Ok(Some((cell.ts, LfRecord::decode(&cell.value)?))),
         }
     }
 
@@ -436,13 +379,8 @@ impl MoistTables {
     }
 
     /// Batch-fetches L/F records *with their head timestamps* — the
-    /// batched apply path's variant of [`batch_lf`](Self::batch_lf). The
-    /// head timestamp lets the batch clamp a deferred superseding L/F
-    /// write locally (the same rule as
-    /// [`lf_supersede_ts`](Self::lf_supersede_ts)) without a per-row
-    /// re-read, valid because the batch holds the routing key's shard
-    /// lock and the cross-shard writers that could move the head are
-    /// excluded by the spatial-row guard it wins first.
+    /// multi-row form of [`lf_versioned`](Self::lf_versioned) that a
+    /// batched apply reads line 1 through.
     pub fn batch_lf_versions(
         &self,
         s: &mut Session,
@@ -465,10 +403,29 @@ impl MoistTables {
             .collect()
     }
 
+    /// The raw value of the spatial row `(leaf, oid)` — exactly what a
+    /// subsequent [`spatial_check_and_delete_value`] must present as its
+    /// expected value (the guard of a move that crosses a routing key).
+    ///
+    /// [`spatial_check_and_delete_value`]: Self::spatial_check_and_delete_value
+    pub fn spatial_value(
+        &self,
+        s: &mut Session,
+        leaf_index: u64,
+        oid: ObjectId,
+    ) -> Result<Option<Vec<u8>>> {
+        Ok(s.get_latest(
+            &self.spatial,
+            &Self::spatial_key(leaf_index, oid),
+            cols::SPATIAL,
+            cols::SPATIAL_Q,
+        )?
+        .map(|cell| cell.value.to_vec()))
+    }
+
     /// Batch-fetches the raw spatial-row values of many `(leaf, oid)`
-    /// entries at once — the batched apply path's prefetch for guarded
-    /// cross-cell moves. The returned bytes are exactly what a subsequent
-    /// `check_and_mutate` must present as its expected value.
+    /// entries at once — the multi-row form of
+    /// [`spatial_value`](Self::spatial_value).
     pub fn batch_spatial_values(
         &self,
         s: &mut Session,
@@ -491,13 +448,15 @@ impl MoistTables {
     }
 
     /// Atomically deletes the spatial row `(leaf, oid)` *only if* it still
-    /// holds exactly `expected` — the batched apply path's half of
-    /// [`spatial_move_guarded`](Self::spatial_move_guarded), with the
-    /// current-value read amortized into a prior
-    /// [`batch_spatial_values`](Self::batch_spatial_values) prefetch.
-    /// Returns `false` when the row is gone or changed (a clustering
-    /// merge won the race); the caller must then skip the superseded
-    /// spatial rewrite.
+    /// holds exactly `expected` (one check-and-mutate under the tablet
+    /// lock) — the guard of a leader move that crosses a routing key.
+    /// A clustering merge commits through the same guard
+    /// ([`spatial_check_and_delete`](Self::spatial_check_and_delete)), so
+    /// the old row is the *mutual-exclusion point* between the move and
+    /// the old cell's merge: exactly one of them deletes it. Returns
+    /// `false` when the row is gone or changed (the merge won); the
+    /// caller must then skip the superseded spatial rewrite, which would
+    /// resurrect an absorbed leader.
     pub fn spatial_check_and_delete_value(
         &self,
         s: &mut Session,
@@ -521,20 +480,36 @@ impl MoistTables {
     /// exercised. Returns the number of rows written and leaves the
     /// batch empty.
     pub fn flush_write_batch(&self, s: &mut Session, wb: &mut WriteBatch) -> Result<usize> {
-        let mut rows = 0;
-        if !wb.location.is_empty() {
-            rows += s.mutate_rows(&self.location, &wb.location)?;
-            wb.location.clear();
+        self.flush(s, wb, true)
+    }
+
+    /// Applies a [`WriteBatch`] holding one message's writes the way
+    /// Algorithm 1 issues them alone: per table, one row as a single-row
+    /// write and several (a spatial move's delete and put) as one
+    /// multi-row RPC. Returns the number of rows written and leaves the
+    /// batch empty.
+    pub fn flush_unbatched(&self, s: &mut Session, wb: &mut WriteBatch) -> Result<usize> {
+        self.flush(s, wb, false)
+    }
+
+    fn flush(&self, s: &mut Session, wb: &mut WriteBatch, batch_one_row: bool) -> Result<usize> {
+        let mut written = 0;
+        for (table, rows) in [
+            (&self.location, &mut wb.location),
+            (&self.spatial, &mut wb.spatial),
+            (&self.affiliation, &mut wb.affiliation),
+        ] {
+            match rows.as_slice() {
+                [] => {}
+                [row] if !batch_one_row => {
+                    s.mutate_row(table, &row.key, &row.mutations)?;
+                    written += 1;
+                }
+                _ => written += s.mutate_rows(table, rows)?,
+            }
+            rows.clear();
         }
-        if !wb.spatial.is_empty() {
-            rows += s.mutate_rows(&self.spatial, &wb.spatial)?;
-            wb.spatial.clear();
-        }
-        if !wb.affiliation.is_empty() {
-            rows += s.mutate_rows(&self.affiliation, &wb.affiliation)?;
-            wb.affiliation.clear();
-        }
-        Ok(rows)
+        Ok(written)
     }
 
     /// Writes the L/F record of `oid`. The write lands at a clamped
@@ -576,10 +551,7 @@ impl MoistTables {
             cols::LF_MEM,
             cols::LF_Q,
         )?;
-        Ok(match head {
-            Some(cell) if cell.ts >= ts => Timestamp(cell.ts.0 + 1),
-            _ => ts,
-        })
+        Ok(supersede_ts(head.map(|cell| cell.ts), ts))
     }
 
     /// Atomically replaces `oid`'s L/F record *only if* it still equals
@@ -754,9 +726,21 @@ impl MoistTables {
     }
 }
 
-/// A deferred write buffer for the batched apply path: plain (unguarded)
-/// row writes accumulate here and land later via
-/// [`MoistTables::flush_write_batch`] as one multi-row RPC per table.
+/// Timestamp at which an L/F write stamped `ts` must land to supersede a
+/// head version stamped `head`: just past the head when the head is not
+/// older than `ts`, else `ts` itself. L/F writes go through this clamp
+/// because the tier's actors run on skewed virtual clocks (see
+/// [`MoistTables::set_lf`]).
+pub fn supersede_ts(head: Option<Timestamp>, ts: Timestamp) -> Timestamp {
+    match head {
+        Some(head) if head >= ts => Timestamp(head.0 + 1),
+        _ => ts,
+    }
+}
+
+/// A write buffer for Algorithm 1's plain (unguarded) row writes. They
+/// land via [`MoistTables::flush_write_batch`] as one multi-row RPC per
+/// table, or via [`MoistTables::flush_unbatched`] as one message's writes.
 ///
 /// Only writes whose rows no concurrent actor can touch may be deferred —
 /// the batch holds the routing key's shard lock, every buffered row is
@@ -764,8 +748,8 @@ impl MoistTables {
 /// dirty-set), and guarded check-and-mutate commits (the cross-shard
 /// mutual-exclusion points) are never buffered. Deferral therefore
 /// reorders only writes to disjoint rows, and every mutation carries its
-/// own explicit timestamp, so the final store state is identical to the
-/// synchronous path's.
+/// own explicit timestamp, so the final store state is the one writing
+/// each row immediately would leave.
 #[derive(Debug, Default)]
 pub struct WriteBatch {
     location: Vec<RowMutation>,
@@ -802,9 +786,26 @@ impl WriteBatch {
         ));
     }
 
-    /// Defers [`MoistTables::spatial_insert`] (also the same-leaf refresh
-    /// half of `spatial_move` — a plain overwrite of the row this batch's
-    /// shard lock already serializes against the cell's clustering).
+    /// Defers a leader's spatial move (Algorithm 1, line 3): the old
+    /// row's delete, when the leaf changed, and the new row's put. Only
+    /// for moves inside one routing key, which the shard lock serializes
+    /// against the cell's clustering.
+    pub fn spatial_move(
+        &mut self,
+        old_leaf: u64,
+        new_leaf: u64,
+        oid: ObjectId,
+        rec: &LocationRecord,
+        ts: Timestamp,
+    ) {
+        if old_leaf != new_leaf {
+            self.spatial
+                .push(MoistTables::spatial_delete_mutation(old_leaf, oid));
+        }
+        self.spatial_insert(new_leaf, oid, rec, ts);
+    }
+
+    /// Defers [`MoistTables::spatial_insert`].
     pub fn spatial_insert(
         &mut self,
         leaf_index: u64,
@@ -823,11 +824,9 @@ impl WriteBatch {
         ));
     }
 
-    /// Defers an L/F write landing at exactly `ts`. The caller is
-    /// responsible for supersede-clamping: pass the raw report time for a
-    /// first-sight registration (no head version exists) or a timestamp
-    /// already clamped past the prefetched head (see
-    /// [`MoistTables::batch_lf_versions`]).
+    /// Defers an L/F write landing at exactly `ts`. The caller owns
+    /// supersede-clamping: pass a timestamp already clamped past the head
+    /// it read ([`supersede_ts`]).
     pub fn set_lf_at(&mut self, oid: ObjectId, lf: &LfRecord, ts: Timestamp) {
         self.affiliation.push(RowMutation::new(
             RowKey::from_u64(oid.0),
@@ -933,15 +932,16 @@ mod tests {
         // Move to another cell.
         let p2 = Point::new(900.0, 900.0);
         let leaf2 = cfg.space.leaf_cell(&p2).index;
-        t.spatial_move(
-            &mut s,
+        let mut wb = WriteBatch::new();
+        wb.spatial_move(
             leaf,
             leaf2,
             ObjectId(7),
             &rec(900.0, 900.0, leaf2),
             Timestamp(2),
-        )
-        .unwrap();
+        );
+        // Delete and put leave as one two-row RPC.
+        assert_eq!(t.flush_unbatched(&mut s, &mut wb).unwrap(), 2);
         assert!(t
             .spatial_scan_cell(&mut s, cc, leaf_level, None)
             .unwrap()
@@ -1061,11 +1061,16 @@ mod tests {
             .unwrap();
         assert_eq!(heads[0].as_ref().unwrap().0, Timestamp(5));
         assert!(heads[1].is_none());
+        // The single-row reads agree with their multi-row forms.
+        assert_eq!(t.lf_versioned(&mut s, ObjectId(1)).unwrap(), heads[0]);
+        assert!(t.lf_versioned(&mut s, ObjectId(9)).unwrap().is_none());
         let vals = t
             .batch_spatial_values(&mut s, &[(3, ObjectId(1)), (4, ObjectId(1))])
             .unwrap();
         assert_eq!(vals[0].as_deref(), Some(r.encode().as_ref()));
         assert!(vals[1].is_none());
+        assert_eq!(t.spatial_value(&mut s, 3, ObjectId(1)).unwrap(), vals[0]);
+        assert!(t.spatial_value(&mut s, 4, ObjectId(1)).unwrap().is_none());
         // The guarded delete against the prefetched value wins exactly
         // once.
         let expected = vals[0].clone().unwrap();

@@ -5,16 +5,39 @@
 //! departure. A fourth branch — first sight of an object — registers it as
 //! the leader of a fresh single-member school (the paper leaves
 //! registration implicit).
+//!
+//! One implementation serves one message and many: a call reads a view of
+//! its messages' rows first (point reads for one message, one multi-get
+//! per table for more), runs each message's step against it, and buffers
+//! the plain writes in a [`WriteBatch`]. One message's writes go out as
+//! single-row writes, a batch's as one multi-row RPC per table.
+//!
+//! **Which leader moves are guarded.** An update runs on the owner of its
+//! new leaf's routing key, under that owner's lock; the old leaf's cell is
+//! clustered by the owner of the old leaf's key. A key is a clustering
+//! cell, or one of its children at `clustering_level + 1` when the cell is
+//! split, so two leaves in one level+1 cell share a key under every split
+//! table ([`SplitTable::split_safe_cell`]). A move inside one level+1 cell
+//! serializes with the merge on one lock and takes the plain delete+put. A
+//! move across a level+1 boundary may run beside the old cell's merge on
+//! another shard: it deletes the old spatial row by check-and-mutate on
+//! the value it read, the guard a merge commits through, so exactly one
+//! wins, and a move that loses skips its spatial and L/F rewrites.
+//!
+//! The leader's `last_leaf` L/F write lands just past the head timestamp
+//! line 1 read ([`supersede_ts`]), with no second read: a merge that could
+//! rewrite that head is excluded by the lock (same key) or by the won
+//! guard (across keys).
 
+use crate::cluster::SplitTable;
 use crate::codec::{LfRecord, LocationRecord};
 use crate::config::MoistConfig;
 use crate::error::{MoistError, Result};
 use crate::ids::ObjectId;
 use crate::school::within_school;
-use crate::tables::{MoistTables, WriteBatch};
+use crate::tables::{supersede_ts, MoistTables, WriteBatch};
 use moist_bigtable::{Session, Timestamp};
 use moist_spatial::{Point, Velocity};
-use std::collections::{HashMap, HashSet};
 
 /// One location update from a mobile client.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,6 +50,18 @@ pub struct UpdateMessage {
     pub vel: Velocity,
     /// Report time.
     pub ts: Timestamp,
+}
+
+impl UpdateMessage {
+    /// Rejects a non-finite location or velocity as
+    /// [`MoistError::InvalidInput`].
+    pub fn validate(&self) -> Result<()> {
+        if self.loc.is_finite() && self.vel.is_finite() {
+            return Ok(());
+        }
+        let why = format!("non-finite update for {}", self.oid);
+        Err(MoistError::InvalidInput(why))
+    }
 }
 
 /// What the update procedure did with a message.
@@ -47,160 +82,25 @@ pub enum UpdateOutcome {
     },
 }
 
-/// Applies Algorithm 1 for one message. Returns what happened, so callers
-/// can track shed ratios.
+/// Applies Algorithm 1 for one message ([`apply_update_batch`] with a
+/// batch of one). Returns what happened, so callers can track shed ratios.
 pub fn apply_update(
     s: &mut Session,
     tables: &MoistTables,
     cfg: &MoistConfig,
     msg: &UpdateMessage,
 ) -> Result<UpdateOutcome> {
-    if !msg.loc.is_finite() || !msg.vel.is_finite() {
-        return Err(MoistError::Inconsistent(format!(
-            "non-finite update for {}",
-            msg.oid
-        )));
-    }
-    let new_leaf = cfg.space.leaf_cell(&msg.loc).index;
-    let record = LocationRecord {
-        loc: msg.loc,
-        vel: msg.vel,
-        leaf_index: new_leaf,
-    };
-
-    // Line 1: is the object a leader or a follower? The follower branch
-    // re-runs from the top when a racing clustering merge re-affiliates
-    // the object between our affiliation read and our guarded promotion —
-    // the re-read sees the new school and the departure decision is made
-    // against it.
-    loop {
-        return match tables.lf(s, msg.oid)? {
-            None => {
-                // First sight: become a leader of a new (singleton) school.
-                tables.set_lf(
-                    s,
-                    msg.oid,
-                    &LfRecord::Leader {
-                        since_us: msg.ts.0,
-                        last_leaf: new_leaf,
-                    },
-                    msg.ts,
-                )?;
-                tables.put_location(s, msg.oid, &record, msg.ts)?;
-                tables.spatial_insert(s, new_leaf, msg.oid, &record, msg.ts)?;
-                Ok(UpdateOutcome::Registered)
-            }
-            Some(LfRecord::Leader {
-                since_us,
-                last_leaf,
-            }) => {
-                // Lines 2–3: leader path.
-                tables.put_location(s, msg.oid, &record, msg.ts)?;
-                if last_leaf == new_leaf {
-                    // Same leaf — same routing key — so this update serializes
-                    // with the cell's clustering on the owner's lock; a plain
-                    // overwrite cannot race a merge.
-                    tables.spatial_move(s, last_leaf, new_leaf, msg.oid, &record, msg.ts)?;
-                } else {
-                    // A cross-cell move is applied by the *destination* cell's
-                    // owner and can race the old cell's clustering merge on
-                    // another shard. The old spatial row is the
-                    // mutual-exclusion point: delete it only while it still
-                    // holds its scanned value (the same check-and-mutate the
-                    // merge commits through), so exactly one side wins.
-                    // Losing means the merge just absorbed this object: skip
-                    // the superseded spatial rewrite — the Location Table
-                    // already carries the report, and the next update takes
-                    // the follower branch against the merged school (and
-                    // departs from it if the move really escaped).
-                    if !tables
-                        .spatial_move_guarded(s, last_leaf, new_leaf, msg.oid, &record, msg.ts)?
-                    {
-                        return Ok(UpdateOutcome::LeaderUpdated);
-                    }
-                    tables.set_lf(
-                        s,
-                        msg.oid,
-                        &LfRecord::Leader {
-                            since_us,
-                            last_leaf: new_leaf,
-                        },
-                        msg.ts,
-                    )?;
-                }
-                Ok(UpdateOutcome::LeaderUpdated)
-            }
-            Some(
-                observed @ LfRecord::Follower {
-                    leader,
-                    displacement,
-                    ..
-                },
-            ) => {
-                // Lines 5–6: estimate the follower's location from its leader.
-                let (leader_ts, leader_rec) = match tables.latest_location(s, leader)? {
-                    Some(x) => x,
-                    None => {
-                        // The leader's hot Location row is gone (aged out to
-                        // the disk family after a long quiet spell): self-heal
-                        // by promotion rather than estimating from stale data.
-                        match promote_to_leader(s, tables, msg, &record, new_leaf, &observed, None)?
-                        {
-                            Some(out) => return Ok(out),
-                            None => continue,
-                        }
-                    }
-                };
-                // Lines 7–8: within ε → shed, zero store writes.
-                if within_school(
-                    &leader_rec,
-                    leader_ts,
-                    displacement,
-                    &msg.loc,
-                    msg.ts,
-                    cfg.epsilon,
-                ) {
-                    return Ok(UpdateOutcome::Shed);
-                }
-                // Lines 10–13: departure — become a leader of a new school.
-                match promote_to_leader(s, tables, msg, &record, new_leaf, &observed, Some(leader))?
-                {
-                    Some(out) => Ok(out),
-                    None => continue,
-                }
-            }
-        };
-    }
+    Ok(apply_update_batch(s, tables, cfg, std::slice::from_ref(msg))?[0])
 }
 
-/// Applies Algorithm 1 to a whole batch of messages, amortizing store
-/// round-trips across the batch. Semantically equivalent to running
-/// [`apply_update`] message by message in order; the store ends in the
-/// same state and the returned outcomes align with `msgs`.
+/// Applies Algorithm 1 to messages in order; the outcomes align with
+/// `msgs`, and the store ends as if each message had been applied alone.
 ///
-/// The amortization has two halves:
-///
-/// * **prefetch** — one batched affiliation read classifies every
-///   distinct OID, one batched Location read serves every follower's
-///   shed test, and one batched spatial read arms the cross-cell move
-///   guards. Each replaces a per-message point read (rpc base charged
-///   per row) with a scan-rate batch row.
-/// * **deferral** — plain row writes (registrations, Location appends,
-///   same-leaf spatial refreshes) accumulate in a [`WriteBatch`] and
-///   land as one multi-row RPC per table at the end.
-///
-/// Correctness rests on a *dirty set*: once the batch writes (or
-/// defers a write for) an OID, every later message touching that OID —
-/// or a follower whose leader is that OID — flushes the deferred
-/// writes and falls back to the synchronous [`apply_update`], so no
-/// decision is ever made against a prefetched value the batch itself
-/// has superseded. Guarded commits (cross-cell spatial moves, follower
-/// promotions) stay synchronous: they are the mutual-exclusion points
-/// against clustering merges on other shards and cannot be reordered.
-///
-/// Every message is validated up front, so a malformed message fails
-/// the whole batch *before* any store write — callers can reject the
-/// batch without partial application.
+/// The view keeps a batch honest: once the batch writes (or buffers a
+/// write for) an object, a later message for that object, or for a
+/// follower of it, flushes the buffer and runs alone against rows read
+/// afresh. Every message is validated up front, so a malformed message
+/// fails the whole batch before any store access.
 pub fn apply_update_batch(
     s: &mut Session,
     tables: &MoistTables,
@@ -208,221 +108,260 @@ pub fn apply_update_batch(
     msgs: &[UpdateMessage],
 ) -> Result<Vec<UpdateOutcome>> {
     for msg in msgs {
-        if !msg.loc.is_finite() || !msg.vel.is_finite() {
-            return Err(MoistError::Inconsistent(format!(
-                "non-finite update for {}",
-                msg.oid
-            )));
-        }
+        msg.validate()?;
     }
-    if msgs.len() <= 1 {
-        // Nothing to amortize: the prefetches would cost more than the
-        // point reads they replace.
-        return msgs
-            .iter()
-            .map(|m| apply_update(s, tables, cfg, m))
-            .collect();
-    }
-
-    // Phase 1: classify every distinct OID with one batched affiliation
-    // read (head timestamps included, for local supersede-clamping of
-    // deferred L/F writes).
-    let mut uniq: Vec<ObjectId> = Vec::new();
-    let mut seen: HashSet<u64> = HashSet::new();
-    for msg in msgs {
-        if seen.insert(msg.oid.0) {
-            uniq.push(msg.oid);
-        }
-    }
-    let lf_heads = tables.batch_lf_versions(s, &uniq)?;
-    let lf_of: HashMap<u64, Option<(Timestamp, LfRecord)>> = uniq
-        .iter()
-        .zip(lf_heads)
-        .map(|(oid, head)| (oid.0, head))
-        .collect();
-
-    // Phase 2: prefetch what the classified messages will read — the
-    // leaders' latest locations (every follower's shed test) and the
-    // old spatial rows of cross-cell-moving leaders (the guard's
-    // expected values). First occurrence per OID decides; later
-    // occurrences hit the dirty-set fallback anyway.
-    let mut leader_oids: Vec<ObjectId> = Vec::new();
-    let mut leader_seen: HashSet<u64> = HashSet::new();
-    let mut move_keys: Vec<(u64, ObjectId)> = Vec::new();
-    let mut move_seen: HashSet<u64> = HashSet::new();
-    for msg in msgs {
-        match lf_of.get(&msg.oid.0) {
-            Some(Some((_, LfRecord::Follower { leader, .. }))) if leader_seen.insert(leader.0) => {
-                leader_oids.push(*leader);
-            }
-            Some(Some((_, LfRecord::Leader { last_leaf, .. }))) => {
-                let new_leaf = cfg.space.leaf_cell(&msg.loc).index;
-                if new_leaf != *last_leaf && move_seen.insert(msg.oid.0) {
-                    move_keys.push((*last_leaf, msg.oid));
-                }
-            }
-            _ => {}
-        }
-    }
-    let leader_locs: HashMap<u64, Option<(Timestamp, LocationRecord)>> = if leader_oids.is_empty() {
-        HashMap::new()
-    } else {
-        leader_oids
-            .iter()
-            .zip(tables.batch_latest_locations(s, &leader_oids)?)
-            .map(|(oid, loc)| (oid.0, loc))
-            .collect()
+    let flush = |s: &mut Session, wb: &mut WriteBatch| match msgs.len() {
+        1 => tables.flush_unbatched(s, wb),
+        _ => tables.flush_write_batch(s, wb),
     };
-    let move_vals: HashMap<u64, Option<Vec<u8>>> = if move_keys.is_empty() {
-        HashMap::new()
-    } else {
-        move_keys
-            .iter()
-            .zip(tables.batch_spatial_values(s, &move_keys)?)
-            .map(|(&(_, oid), val)| (oid.0, val))
-            .collect()
-    };
-
-    // Phase 3: apply in message order. Deferrable writes go to `wb`;
-    // anything touching an already-written OID flushes and falls back
-    // to the synchronous path.
+    let mut view = View::read(s, tables, cfg, msgs)?;
     let mut wb = WriteBatch::new();
-    let mut dirty: HashSet<u64> = HashSet::new();
     let mut out = Vec::with_capacity(msgs.len());
     for msg in msgs {
-        let new_leaf = cfg.space.leaf_cell(&msg.loc).index;
-        let record = LocationRecord {
-            loc: msg.loc,
-            vel: msg.vel,
-            leaf_index: new_leaf,
+        let stepped = if view.is_fresh_for(msg) {
+            step(s, tables, cfg, &view, msg, &mut wb)?
+        } else {
+            None
         };
-        // The prefetched snapshot is valid only while this batch has not
-        // written the rows it describes.
-        let fallback = dirty.contains(&msg.oid.0)
-            || match lf_of.get(&msg.oid.0) {
-                Some(Some((_, LfRecord::Follower { leader, .. }))) => {
-                    dirty.contains(&leader.0)
-                        || !matches!(leader_locs.get(&leader.0), Some(Some(_)))
-                }
-                _ => false,
-            };
-        if fallback {
-            if !wb.is_empty() {
-                tables.flush_write_batch(s, &mut wb)?;
-            }
-            let outcome = apply_update(s, tables, cfg, msg)?;
-            dirty.insert(msg.oid.0);
-            out.push(outcome);
-            continue;
-        }
-        let outcome = match lf_of.get(&msg.oid.0).and_then(|h| h.as_ref()) {
+        let outcome = match stepped {
+            Some(outcome) => outcome,
             None => {
-                // First sight: no head version exists, so the deferred
-                // L/F write lands at the raw report time unclamped.
-                wb.set_lf_at(
-                    msg.oid,
-                    &LfRecord::Leader {
-                        since_us: msg.ts.0,
-                        last_leaf: new_leaf,
-                    },
-                    msg.ts,
-                );
-                wb.put_location(msg.oid, &record, msg.ts);
-                wb.spatial_insert(new_leaf, msg.oid, &record, msg.ts);
-                dirty.insert(msg.oid.0);
-                UpdateOutcome::Registered
-            }
-            Some((
-                head_ts,
-                LfRecord::Leader {
-                    since_us,
-                    last_leaf,
-                },
-            )) => {
-                wb.put_location(msg.oid, &record, msg.ts);
-                if *last_leaf == new_leaf {
-                    // Same routing key as the cell's clustering — the
-                    // shard lock this batch holds serializes them, so
-                    // the plain refresh can be deferred.
-                    wb.spatial_insert(new_leaf, msg.oid, &record, msg.ts);
-                } else {
-                    // Cross-cell move: commit the guarded delete now
-                    // (it is the mutual-exclusion point against the old
-                    // cell's merge on another shard), with the expected
-                    // value amortized into the phase-2 prefetch. Losing
-                    // means a merge absorbed the object: skip the
-                    // superseded rewrite, exactly like the sync path.
-                    let won = match move_vals.get(&msg.oid.0).and_then(|v| v.as_deref()) {
-                        None => false,
-                        Some(expected) => tables
-                            .spatial_check_and_delete_value(s, *last_leaf, msg.oid, expected)?,
-                    };
-                    if won {
-                        wb.spatial_insert(new_leaf, msg.oid, &record, msg.ts);
-                        // Supersede-clamp locally against the prefetched
-                        // head: no other actor can move this row's head
-                        // while the batch holds the key's shard lock and
-                        // the spatial guard has been won.
-                        let lf_ts = if *head_ts >= msg.ts {
-                            Timestamp(head_ts.0 + 1)
-                        } else {
-                            msg.ts
-                        };
-                        wb.set_lf_at(
-                            msg.oid,
-                            &LfRecord::Leader {
-                                since_us: *since_us,
-                                last_leaf: new_leaf,
-                            },
-                            lf_ts,
-                        );
-                    }
-                }
-                dirty.insert(msg.oid.0);
-                UpdateOutcome::LeaderUpdated
-            }
-            Some((
-                _,
-                LfRecord::Follower {
-                    leader,
-                    displacement,
-                    ..
-                },
-            )) => {
-                let (leader_ts, leader_rec) = leader_locs
-                    .get(&leader.0)
-                    .and_then(|l| l.as_ref())
-                    .expect("missing leader location routed to fallback above");
-                if within_school(
-                    leader_rec,
-                    *leader_ts,
-                    *displacement,
-                    &msg.loc,
-                    msg.ts,
-                    cfg.epsilon,
-                ) {
-                    // Shed: zero writes, so the prefetched snapshot for
-                    // this OID stays valid — no dirty mark.
-                    UpdateOutcome::Shed
-                } else {
-                    // Departure: the promotion is a guarded L/F commit
-                    // racing clustering merges — flush and take the
-                    // synchronous path end to end.
-                    if !wb.is_empty() {
-                        tables.flush_write_batch(s, &mut wb)?;
-                    }
-                    let outcome = apply_update(s, tables, cfg, msg)?;
-                    dirty.insert(msg.oid.0);
-                    outcome
-                }
+                flush(s, &mut wb)?;
+                apply_alone(s, tables, cfg, msg)?
             }
         };
+        // A shed writes nothing, so the view stays valid for the object.
+        if outcome != UpdateOutcome::Shed {
+            view.mark_written(msg.oid);
+        }
         out.push(outcome);
     }
-    if !wb.is_empty() {
-        tables.flush_write_batch(s, &mut wb)?;
-    }
+    flush(s, &mut wb)?;
     Ok(out)
+}
+
+/// Runs one message against rows read for it alone, re-reading after each
+/// lost promotion guard: a racing merge re-affiliated the object, and the
+/// retry decides against the new school.
+fn apply_alone(
+    s: &mut Session,
+    tables: &MoistTables,
+    cfg: &MoistConfig,
+    msg: &UpdateMessage,
+) -> Result<UpdateOutcome> {
+    loop {
+        let view = View::read(s, tables, cfg, std::slice::from_ref(msg))?;
+        let mut wb = WriteBatch::new();
+        let stepped = step(s, tables, cfg, &view, msg, &mut wb)?;
+        tables.flush_unbatched(s, &mut wb)?;
+        if let Some(outcome) = stepped {
+            return Ok(outcome);
+        }
+    }
+}
+
+/// Whether a leader moving from `old_leaf` to `new_leaf` stays inside one
+/// routing key under any split table (see the module docs).
+fn same_route(cfg: &MoistConfig, old_leaf: u64, new_leaf: u64) -> bool {
+    let (cl, ll) = (cfg.clustering_level, cfg.space.leaf_level);
+    SplitTable::split_safe_cell(old_leaf, cl, ll) == SplitTable::split_safe_cell(new_leaf, cl, ll)
+}
+
+/// Everything the messages of one call read, fetched before any write.
+/// Each list is sorted by object id; the first message per object decides
+/// what is read for it.
+struct View {
+    /// Line 1: each object's L/F head with its timestamp.
+    lf: Vec<(ObjectId, Option<(Timestamp, LfRecord)>)>,
+    /// Whether the call has written each object of `lf` since the read.
+    written: Vec<bool>,
+    /// Lines 5–6: each follower's leader's latest location.
+    leader_locs: Vec<(ObjectId, Option<(Timestamp, LocationRecord)>)>,
+    /// Each guarded move's old spatial row value: the guard's expectation.
+    guards: Vec<(ObjectId, Option<Vec<u8>>)>,
+}
+
+/// The entry of `oid` in a list sorted by object id.
+fn entry<T>(list: &[(ObjectId, T)], oid: ObjectId) -> Option<&T> {
+    let i = list.binary_search_by_key(&oid, |e| e.0).ok()?;
+    Some(&list[i].1)
+}
+
+impl View {
+    /// Reads the L/F heads, then what they call for: the followers'
+    /// leader locations and the guarded moves' old spatial rows. A single
+    /// row is a point read, several one multi-get per table.
+    fn read(
+        s: &mut Session,
+        tables: &MoistTables,
+        cfg: &MoistConfig,
+        msgs: &[UpdateMessage],
+    ) -> Result<View> {
+        let mut oids: Vec<ObjectId> = msgs.iter().map(|m| m.oid).collect();
+        oids.sort_unstable();
+        oids.dedup();
+        let heads = match oids.as_slice() {
+            [] => Vec::new(),
+            [oid] => vec![tables.lf_versioned(s, *oid)?],
+            _ => tables.batch_lf_versions(s, &oids)?,
+        };
+        let lf: Vec<_> = oids.into_iter().zip(heads).collect();
+
+        let (mut leaders, mut moves) = (Vec::new(), Vec::new());
+        for msg in msgs {
+            match entry(&lf, msg.oid) {
+                Some(Some((_, LfRecord::Follower { leader, .. }))) => leaders.push(*leader),
+                Some(Some((_, LfRecord::Leader { last_leaf, .. }))) => {
+                    let new_leaf = cfg.space.leaf_cell(&msg.loc).index;
+                    if !same_route(cfg, *last_leaf, new_leaf) {
+                        moves.push((*last_leaf, msg.oid));
+                    }
+                }
+                _ => {}
+            }
+        }
+        leaders.sort_unstable();
+        leaders.dedup();
+        moves.sort_by_key(|&(_, oid)| oid);
+        moves.dedup_by_key(|&mut (_, oid)| oid);
+        let locs = match leaders.as_slice() {
+            [] => Vec::new(),
+            [leader] => vec![tables.latest_location(s, *leader)?],
+            _ => tables.batch_latest_locations(s, &leaders)?,
+        };
+        let values = match moves.as_slice() {
+            [] => Vec::new(),
+            [(leaf, oid)] => vec![tables.spatial_value(s, *leaf, *oid)?],
+            _ => tables.batch_spatial_values(s, &moves)?,
+        };
+        Ok(View {
+            written: vec![false; lf.len()],
+            lf,
+            leader_locs: leaders.into_iter().zip(locs).collect(),
+            guards: moves.into_iter().map(|(_, oid)| oid).zip(values).collect(),
+        })
+    }
+
+    fn is_written(&self, oid: ObjectId) -> bool {
+        let i = self.lf.binary_search_by_key(&oid, |e| e.0);
+        i.is_ok_and(|i| self.written[i])
+    }
+
+    fn mark_written(&mut self, oid: ObjectId) {
+        if let Ok(i) = self.lf.binary_search_by_key(&oid, |e| e.0) {
+            self.written[i] = true;
+        }
+    }
+
+    /// Whether the view still describes `msg`'s rows: neither the object
+    /// nor (for a follower) its leader has been written since the read.
+    fn is_fresh_for(&self, msg: &UpdateMessage) -> bool {
+        !self.is_written(msg.oid)
+            && match entry(&self.lf, msg.oid) {
+                Some(Some((_, LfRecord::Follower { leader, .. }))) => !self.is_written(*leader),
+                _ => true,
+            }
+    }
+}
+
+/// Algorithm 1 for one message against `view`, buffering its plain writes
+/// in `wb`; guarded commits run at once. Returns `None` when a racing
+/// clustering merge re-affiliated the object before its guarded
+/// promotion: the caller re-reads and runs it again.
+fn step(
+    s: &mut Session,
+    tables: &MoistTables,
+    cfg: &MoistConfig,
+    view: &View,
+    msg: &UpdateMessage,
+    wb: &mut WriteBatch,
+) -> Result<Option<UpdateOutcome>> {
+    let new_leaf = cfg.space.leaf_cell(&msg.loc).index;
+    let record = LocationRecord {
+        loc: msg.loc,
+        vel: msg.vel,
+        leaf_index: new_leaf,
+    };
+    // Line 1: is the object a leader or a follower?
+    match *entry(&view.lf, msg.oid).expect("the view reads every message's object") {
+        None => {
+            // First sight: become a leader of a new (singleton) school. No
+            // head version exists, so the L/F write lands at the report time.
+            let lf = LfRecord::Leader {
+                since_us: msg.ts.0,
+                last_leaf: new_leaf,
+            };
+            wb.set_lf_at(msg.oid, &lf, msg.ts);
+            wb.put_location(msg.oid, &record, msg.ts);
+            wb.spatial_insert(new_leaf, msg.oid, &record, msg.ts);
+            Ok(Some(UpdateOutcome::Registered))
+        }
+        Some((
+            head_ts,
+            LfRecord::Leader {
+                since_us,
+                last_leaf,
+            },
+        )) => {
+            // Lines 2–3: leader path.
+            wb.put_location(msg.oid, &record, msg.ts);
+            if same_route(cfg, last_leaf, new_leaf) {
+                wb.spatial_move(last_leaf, new_leaf, msg.oid, &record, msg.ts);
+            } else {
+                let expected = entry(&view.guards, msg.oid).expect("the view reads each guard");
+                let won = match expected.as_deref() {
+                    Some(expected) => {
+                        tables.spatial_check_and_delete_value(s, last_leaf, msg.oid, expected)?
+                    }
+                    None => false,
+                };
+                if !won {
+                    // A merge absorbed the object: the next update takes
+                    // the follower branch against the merged school.
+                    return Ok(Some(UpdateOutcome::LeaderUpdated));
+                }
+                wb.spatial_insert(new_leaf, msg.oid, &record, msg.ts);
+            }
+            if last_leaf != new_leaf {
+                let lf = LfRecord::Leader {
+                    since_us,
+                    last_leaf: new_leaf,
+                };
+                wb.set_lf_at(msg.oid, &lf, supersede_ts(Some(head_ts), msg.ts));
+            }
+            Ok(Some(UpdateOutcome::LeaderUpdated))
+        }
+        Some((
+            _,
+            observed @ LfRecord::Follower {
+                leader,
+                displacement,
+                ..
+            },
+        )) => {
+            // Lines 5–6: estimate the follower's location from its leader.
+            let leader_loc = entry(&view.leader_locs, leader).expect("the view reads each leader");
+            let Some((leader_ts, leader_rec)) = *leader_loc else {
+                // The leader's hot Location row is gone (aged out to the
+                // disk family after a long quiet spell): self-heal by
+                // promotion rather than estimating from stale data.
+                return promote_to_leader(s, tables, msg, &record, new_leaf, &observed, None);
+            };
+            // Lines 7–8: within ε → shed, zero store writes.
+            if within_school(
+                &leader_rec,
+                leader_ts,
+                displacement,
+                &msg.loc,
+                msg.ts,
+                cfg.epsilon,
+            ) {
+                return Ok(Some(UpdateOutcome::Shed));
+            }
+            // Lines 10–13: departure — become a leader of a new school.
+            promote_to_leader(s, tables, msg, &record, new_leaf, &observed, Some(leader))
+        }
+    }
 }
 
 /// Lines 10–13 of Algorithm 1: remove the follower from its old school (if
@@ -562,6 +501,32 @@ mod tests {
         }
     }
 
+    /// A clustering tick can stamp an L/F head far ahead of the object's
+    /// own clock. The leader's `last_leaf` write, clamped against the head
+    /// line 1 read, must still become the newest version, alone or in a
+    /// batch.
+    #[test]
+    fn a_leader_move_supersedes_an_lf_head_stamped_ahead_of_its_clock() {
+        let (_st, t, mut s, cfg) = setup(5.0);
+        for (oid, batched) in [(1u64, false), (2, true)] {
+            apply_update(&mut s, &t, &cfg, &msg(oid, 100.0, 100.0, 1.0, 0)).unwrap();
+            let lf = t.lf(&mut s, ObjectId(oid)).unwrap().unwrap();
+            t.set_lf(&mut s, ObjectId(oid), &lf, Timestamp::from_secs(1000))
+                .unwrap();
+            let moved = [msg(oid, 101.0, 100.0, 1.0, 5), msg(99, 50.0, 50.0, 0.0, 5)];
+            let msgs = if batched { &moved[..] } else { &moved[..1] };
+            apply_update_batch(&mut s, &t, &cfg, msgs).unwrap();
+            let want = cfg.space.leaf_cell(&Point::new(101.0, 100.0)).index;
+            match t.lf_versioned(&mut s, ObjectId(oid)).unwrap().unwrap() {
+                (ts, LfRecord::Leader { last_leaf, .. }) => {
+                    assert_eq!(last_leaf, want, "batched: {batched}");
+                    assert_eq!(ts, Timestamp(Timestamp::from_secs(1000).0 + 1));
+                }
+                other => panic!("leader expected, got {other:?}"),
+            }
+        }
+    }
+
     /// Builds a two-object school: 1 leads, 2 follows at displacement (0,2).
     fn build_school(t: &MoistTables, s: &mut Session, cfg: &MoistConfig) {
         apply_update(s, t, cfg, &msg(1, 100.0, 100.0, 1.0, 0)).unwrap();
@@ -665,63 +630,228 @@ mod tests {
         assert!(t.lf(&mut s, ObjectId(2)).unwrap().unwrap().is_leader());
     }
 
-    /// The batched apply is a pure optimization: same outcomes, same
-    /// final table state as replaying the messages synchronously. The
-    /// mix below exercises every branch — registration, leader moves,
-    /// shed, departure, and dirty-set fallbacks (repeat OIDs and a
-    /// follower whose leader updated earlier in the same batch).
+    /// Store ops one call costs: `(reads, writes, batches, CAS)`. A CAS
+    /// also counts as a read, plus a write when it applied.
+    fn ops<R>(st: &Bigtable, f: impl FnOnce() -> R) -> (R, (u64, u64, u64, u64)) {
+        let before = st.metrics_snapshot();
+        let out = f();
+        let d = st.metrics_snapshot().delta(&before);
+        (out, (d.read_ops, d.write_ops, d.batch_ops, d.cas_ops))
+    }
+
+    /// From a leaf centre `base`: a spot in the same leaf, a leaf in the
+    /// same routing key, and a leaf across a routing-key boundary.
+    fn move_targets(cfg: &MoistConfig, base: Point) -> (Point, Point, Point) {
+        let leaf = |p: &Point| cfg.space.leaf_cell(p).index;
+        let same_leaf = Point::new(base.x + 1e-5, base.y);
+        let near = Point::new(base.x + 1.0, base.y);
+        let far = Point::new(base.x + 50.0, base.y);
+        assert_eq!(leaf(&same_leaf), leaf(&base));
+        assert!(leaf(&near) != leaf(&base) && same_route(cfg, leaf(&base), leaf(&near)));
+        assert!(!same_route(cfg, leaf(&base), leaf(&far)));
+        (same_leaf, near, far)
+    }
+
+    /// The centre of the leaf containing `p`.
+    fn leaf_centre(cfg: &MoistConfig, p: Point) -> Point {
+        let leaf = cfg.space.leaf_cell(&p);
+        cfg.space.to_world(&leaf.center(cfg.space.curve))
+    }
+
+    fn at(oid: u64, p: Point, secs: u64) -> UpdateMessage {
+        msg(oid, p.x, p.y, 1.0, secs)
+    }
+
+    /// Algorithm 1's op budget, one message at a time. A leader move
+    /// inside one routing key costs the paper's one read, no CAS and at
+    /// most three write RPCs; only a move across a routing key pays the
+    /// guard's read and CAS.
     #[test]
-    fn batch_apply_matches_synchronous_outcomes_and_state() {
-        let (_st1, t1, mut s1, cfg) = setup(5.0);
-        let (_st2, t2, mut s2, _) = setup(5.0);
-        build_school(&t1, &mut s1, &cfg);
-        build_school(&t2, &mut s2, &cfg);
+    fn each_outcome_costs_its_pinned_store_ops_one_message_at_a_time() {
+        let (st, t, mut s, cfg) = setup(5.0);
+        let base = leaf_centre(&cfg, Point::new(100.3, 60.3));
+        let (same_leaf, near, far) = move_targets(&cfg, base);
+        let cases = [
+            (at(7, base, 1), UpdateOutcome::Registered, (1, 3, 0, 0)),
+            (
+                at(7, same_leaf, 2),
+                UpdateOutcome::LeaderUpdated,
+                (1, 2, 0, 0),
+            ),
+            (at(7, near, 3), UpdateOutcome::LeaderUpdated, (1, 2, 1, 0)),
+            (at(7, far, 4), UpdateOutcome::LeaderUpdated, (3, 4, 0, 1)),
+        ];
+        for (m, want, budget) in cases {
+            let (out, cost) = ops(&st, || apply_update(&mut s, &t, &cfg, &m).unwrap());
+            assert_eq!((out, cost), (want, budget), "{m:?}");
+        }
+        let (_, writes, batches, _) = cases[2].2;
+        assert!(
+            writes + batches <= 3,
+            "same-route move: at most 3 write RPCs"
+        );
+        // Every move landed: one spatial row, at the last leaf.
+        let far_leaf = cfg.space.leaf_cell(&far).index;
+        match t.lf(&mut s, ObjectId(7)).unwrap().unwrap() {
+            LfRecord::Leader { last_leaf, .. } => assert_eq!(last_leaf, far_leaf),
+            other => panic!("leader expected, got {other:?}"),
+        }
+        let cc = cfg.space.cell_at(cfg.clustering_level, &far);
+        let rows = t
+            .spatial_scan_cell(&mut s, cc, cfg.space.leaf_level, None)
+            .unwrap();
+        assert_eq!(rows.iter().filter(|e| e.oid == ObjectId(7)).count(), 1);
+
+        build_school(&t, &mut s, &cfg);
+        let follower_cases = [
+            (
+                msg(2, 111.0, 102.0, 1.0, 10),
+                UpdateOutcome::Shed,
+                (2, 0, 0, 0),
+            ),
+            (
+                msg(2, 400.0, 102.0, 1.0, 10),
+                UpdateOutcome::Departed {
+                    old_leader: ObjectId(1),
+                },
+                (4, 4, 0, 1),
+            ),
+        ];
+        for (m, want, budget) in follower_cases {
+            let (out, cost) = ops(&st, || apply_update(&mut s, &t, &cfg, &m).unwrap());
+            assert_eq!((out, cost), (want, budget), "{m:?}");
+        }
+    }
+
+    /// The same budget for batches of three distinct objects: one
+    /// multi-get per table read, one multi-row RPC per table written,
+    /// and only the guards and promotions issued per message.
+    #[test]
+    fn each_outcome_costs_its_pinned_store_ops_in_a_batch() {
+        let (st, t, mut s, cfg) = setup(5.0);
+        let (out, cost) = ops(&st, || apply_update_batch(&mut s, &t, &cfg, &[]).unwrap());
+        assert_eq!(
+            (out, cost),
+            (vec![], (0, 0, 0, 0)),
+            "an empty batch is free"
+        );
+        let bases: Vec<Point> = (0..3)
+            .map(|i| leaf_centre(&cfg, Point::new(100.3, 60.3 + 10.0 * i as f64)))
+            .collect();
+        let targets: Vec<(Point, Point, Point)> =
+            bases.iter().map(|&b| move_targets(&cfg, b)).collect();
+        let batch = |pick: &dyn Fn(usize) -> Point, secs: u64| -> Vec<UpdateMessage> {
+            (0..3).map(|i| at(10 + i as u64, pick(i), secs)).collect()
+        };
+        let cases = [
+            (
+                batch(&|i| bases[i], 1),
+                UpdateOutcome::Registered,
+                (1, 0, 3, 0),
+            ),
+            (
+                batch(&|i| targets[i].0, 2),
+                UpdateOutcome::LeaderUpdated,
+                (1, 0, 2, 0),
+            ),
+            (
+                batch(&|i| targets[i].1, 3),
+                UpdateOutcome::LeaderUpdated,
+                (1, 0, 3, 0),
+            ),
+            (
+                batch(&|i| targets[i].2, 4),
+                UpdateOutcome::LeaderUpdated,
+                (5, 3, 3, 3),
+            ),
+        ];
+        for (msgs, want, budget) in cases {
+            let (out, cost) = ops(&st, || apply_update_batch(&mut s, &t, &cfg, &msgs).unwrap());
+            assert_eq!((out, cost), (vec![want; 3], budget), "{msgs:?}");
+        }
+
+        build_school(&t, &mut s, &cfg);
+        for (f, dy) in [(3u64, 4.0), (4, 6.0)] {
+            let d = Displacement::new(0.0, dy);
+            let lf = LfRecord::Follower {
+                leader: ObjectId(1),
+                displacement: d,
+                since_us: 0,
+            };
+            t.set_lf(&mut s, ObjectId(f), &lf, Timestamp::ZERO).unwrap();
+            t.add_follower(&mut s, ObjectId(1), ObjectId(f), d, Timestamp::ZERO)
+                .unwrap();
+        }
+        let followers = |x: f64| -> Vec<UpdateMessage> {
+            [(2u64, 102.0), (3, 104.0), (4, 106.0)]
+                .iter()
+                .map(|&(f, y)| msg(f, x, y, 1.0, 10))
+                .collect()
+        };
+        let (out, cost) = ops(&st, || {
+            apply_update_batch(&mut s, &t, &cfg, &followers(111.0)).unwrap()
+        });
+        assert_eq!((out, cost), (vec![UpdateOutcome::Shed; 3], (2, 0, 0, 0)));
+        let departed = UpdateOutcome::Departed {
+            old_leader: ObjectId(1),
+        };
+        let (out, cost) = ops(&st, || {
+            apply_update_batch(&mut s, &t, &cfg, &followers(400.0)).unwrap()
+        });
+        assert_eq!((out, cost), (vec![departed; 3], (8, 12, 0, 3)));
+        assert!(t.followers(&mut s, ObjectId(1)).unwrap().is_empty());
+    }
+
+    /// A batch re-runs a message alone, against freshly read rows, once
+    /// the batch has written its object or its leader: the outcomes and
+    /// the final rows are those of applying the messages one by one.
+    #[test]
+    fn batch_reruns_messages_whose_rows_it_already_wrote() {
+        let (_st, t, mut s, cfg) = setup(5.0);
+        build_school(&t, &mut s, &cfg);
         let batch = vec![
             msg(3, 200.0, 200.0, 1.0, 1),  // first sight: register
-            msg(1, 101.0, 100.0, 1.0, 2),  // leader move (dirties 1)
-            msg(2, 111.0, 102.0, 1.0, 10), // follower of dirty leader: fallback, shed
-            msg(1, 600.0, 600.0, 1.0, 12), // dirty OID: fallback, cross-cell move
+            msg(1, 101.0, 100.0, 1.0, 2),  // leader move (writes 1)
+            msg(2, 111.0, 102.0, 1.0, 10), // follower of written leader 1: shed
+            msg(1, 600.0, 600.0, 1.0, 12), // written object: cross-route move
             msg(2, 900.0, 102.0, 1.0, 14), // departure
-            msg(3, 205.0, 200.0, 1.0, 15), // dirty OID: fallback leader move
+            msg(3, 205.0, 200.0, 1.0, 15), // written object: leader move
         ];
-        let sync: Vec<UpdateOutcome> = batch
-            .iter()
-            .map(|m| apply_update(&mut s1, &t1, &cfg, m).unwrap())
-            .collect();
-        let batched = apply_update_batch(&mut s2, &t2, &cfg, &batch).unwrap();
-        assert_eq!(sync, batched);
-        assert!(matches!(batched[2], UpdateOutcome::Shed));
-        assert!(matches!(batched[4], UpdateOutcome::Departed { .. }));
-        for oid in [1u64, 2, 3] {
-            assert_eq!(
-                t1.lf(&mut s1, ObjectId(oid)).unwrap(),
-                t2.lf(&mut s2, ObjectId(oid)).unwrap(),
-                "L/F record of {oid} must match the sync replay"
-            );
-            assert_eq!(
-                t1.latest_location(&mut s1, ObjectId(oid))
-                    .unwrap()
-                    .map(|(_, r)| r),
-                t2.latest_location(&mut s2, ObjectId(oid))
-                    .unwrap()
-                    .map(|(_, r)| r),
-                "latest location of {oid} must match the sync replay"
-            );
-        }
-        // Spatial index converged identically: each live leader filed
-        // under the same cell on both stores.
-        for p in [
-            Point::new(600.0, 600.0),
-            Point::new(900.0, 102.0),
-            Point::new(205.0, 200.0),
+        let out = apply_update_batch(&mut s, &t, &cfg, &batch).unwrap();
+        let departed = UpdateOutcome::Departed {
+            old_leader: ObjectId(1),
+        };
+        let led = UpdateOutcome::LeaderUpdated;
+        assert_eq!(
+            out,
+            vec![
+                UpdateOutcome::Registered,
+                led,
+                UpdateOutcome::Shed,
+                led,
+                departed,
+                led
+            ]
+        );
+        for (oid, p) in [
+            (1u64, (600.0, 600.0)),
+            (2, (900.0, 102.0)),
+            (3, (205.0, 200.0)),
         ] {
+            let p = Point::new(p.0, p.1);
+            match t.lf(&mut s, ObjectId(oid)).unwrap().unwrap() {
+                LfRecord::Leader { last_leaf, .. } => {
+                    assert_eq!(last_leaf, cfg.space.leaf_cell(&p).index, "object {oid}")
+                }
+                other => panic!("object {oid} must lead, got {other:?}"),
+            }
+            let (_, rec) = t.latest_location(&mut s, ObjectId(oid)).unwrap().unwrap();
+            assert_eq!(rec.loc, p);
             let cc = cfg.space.cell_at(cfg.clustering_level, &p);
-            assert_eq!(
-                t1.spatial_count_cell(&mut s1, cc, cfg.space.leaf_level)
-                    .unwrap(),
-                t2.spatial_count_cell(&mut s2, cc, cfg.space.leaf_level)
-                    .unwrap()
-            );
+            let rows = t
+                .spatial_scan_cell(&mut s, cc, cfg.space.leaf_level, None)
+                .unwrap();
+            assert_eq!(rows.iter().filter(|e| e.oid == ObjectId(oid)).count(), 1);
         }
     }
 
@@ -776,6 +906,7 @@ mod tests {
             vel: Velocity::ZERO,
             ts: Timestamp::ZERO,
         };
-        assert!(apply_update(&mut s, &t, &cfg, &bad).is_err());
+        let err = apply_update(&mut s, &t, &cfg, &bad).unwrap_err();
+        assert!(matches!(err, MoistError::InvalidInput(_)), "got {err:?}");
     }
 }

@@ -196,6 +196,15 @@ impl Rect {
         )
     }
 
+    /// Returns `true` when all four corner coordinates are finite numbers.
+    #[inline]
+    pub fn is_finite(&self) -> bool {
+        self.min_x.is_finite()
+            && self.min_y.is_finite()
+            && self.max_x.is_finite()
+            && self.max_y.is_finite()
+    }
+
     /// Whether the rectangle contains `p` (closed on all edges).
     #[inline]
     pub fn contains(&self, p: &Point) -> bool {
