@@ -8,8 +8,9 @@
 //! idled. This bin sweeps **region size × shard count** and compares, on
 //! identical stores:
 //!
-//! * **anchor** — the old routing ([`MoistCluster::region_anchor`]): one
-//!   shard scans every planned range back to back;
+//! * **anchor** — the old routing ([`moist_bench::anchored_region`]): the
+//!   shard owning the rectangle's centre scans every planned range back
+//!   to back;
 //! * **fanout** — scatter-gather ([`MoistCluster::region`]): the plan is
 //!   owner-sliced, each slice scans on a pooled worker against its shard,
 //!   and the client-visible cost is the slowest slice.
@@ -24,7 +25,7 @@
 use moist::bigtable::{Bigtable, Timestamp};
 use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 use moist::spatial::{Point, Rect, Velocity};
-use moist_bench::{smoke_mode, Figure, Series};
+use moist_bench::{anchored_region, smoke_mode, Figure, Series};
 
 struct Scale {
     shard_counts: Vec<usize>,
@@ -119,9 +120,8 @@ fn run_one(shards: usize, side: f64, scale: &Scale) -> Measured {
     let mut fanout_us = 0.0;
     let mut scatter = 0usize;
     for rect in &rects {
-        let (a_hits, a_stats) = cluster
-            .region_anchor(rect, Timestamp::ZERO, 0.0)
-            .expect("anchor region");
+        let (a_hits, a_stats) =
+            anchored_region(&cluster, rect, Timestamp::ZERO, 0.0).expect("anchor region");
         let (f_hits, f_stats) = cluster
             .region(rect, Timestamp::ZERO, 0.0)
             .expect("fanout region");

@@ -35,7 +35,7 @@
 use moist::bigtable::{Bigtable, Timestamp};
 use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 use moist::spatial::{Point, Velocity};
-use moist_bench::{smoke_mode, Figure, Series, STORE_WRITE_CAPACITY_OPS};
+use moist_bench::{anchored_region, smoke_mode, Figure, Series, STORE_WRITE_CAPACITY_OPS};
 
 /// Virtual seconds between rebalance steps on the load-aware cluster.
 const REBALANCE_EVERY_SECS: u64 = 10;
@@ -200,7 +200,8 @@ fn run_one(shards: usize, scale: &Scale, rebalance: bool) -> Measured {
     // Whole-map scattered region vs anchor routing on this cluster: the
     // fan-out bar from fig15 must hold (and slice balancing should beat
     // it — the largest owner slice no longer caps the speedup).
-    let (anchor_hits, anchor_stats) = cluster.region_anchor(&cfg.space.world, end, 0.0).unwrap();
+    let (anchor_hits, anchor_stats) =
+        anchored_region(&cluster, &cfg.space.world, end, 0.0).unwrap();
     let (fan_hits, fan_stats) = cluster.region(&cfg.space.world, end, 0.0).unwrap();
     let a: Vec<u64> = anchor_hits.iter().map(|n| n.oid.0).collect();
     let f: Vec<u64> = fan_hits.iter().map(|n| n.oid.0).collect();

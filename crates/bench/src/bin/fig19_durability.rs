@@ -17,8 +17,9 @@
 //!   *when* data hits the platter, not how much.
 //! * **recovery** — after each durable run the store is dropped
 //!   mid-flight (no checkpoint, nothing graceful) and
-//!   [`MoistCluster::recover`] replays the full log; the replay is
-//!   priced with [`CostProfile::replay_us`]. A checkpoint on the
+//!   [`ClusterBuilder::recover`](moist::core::ClusterBuilder::recover)
+//!   replays the full log; the replay is priced with
+//!   [`CostProfile::replay_us`]. A checkpoint on the
 //!   recovered tier then truncates the logs, and a second recovery must
 //!   replay exactly zero records — the snapshot path, measured.
 //!

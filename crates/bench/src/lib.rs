@@ -9,7 +9,9 @@
 
 use moist::baselines::{BxConfig, BxTree};
 use moist::bigtable::{Bigtable, CostProfile, Timestamp};
-use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
+use moist::core::{
+    MoistCluster, MoistConfig, MoistServer, Neighbor, ObjectId, RegionStats, UpdateMessage,
+};
 use moist::spatial::{Rect, Space};
 use moist::workload::UniformSim;
 use serde::Serialize;
@@ -178,6 +180,20 @@ pub fn disk_btree_profile() -> CostProfile {
         wal_fsync_us: 220.0,
         wal_replay_us: 2.0,
     }
+}
+
+/// The single-shard region baseline the fan-out figures compare
+/// scatter-gather against: the whole query runs on the shard owning the
+/// rectangle's centre cell, scanning every planned range back to back.
+pub fn anchored_region(
+    cluster: &MoistCluster,
+    rect: &Rect,
+    at: Timestamp,
+    margin: f64,
+) -> moist::core::Result<(Vec<Neighbor>, RegionStats)> {
+    cluster.with_shard_read(cluster.shard_for_point(&rect.center()), |s| {
+        s.region(rect, at, margin)
+    })?
 }
 
 /// `(objects, measured updates)` of the `headline` figure's smoke run.

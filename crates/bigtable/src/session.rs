@@ -1,7 +1,7 @@
 //! Cost-charged sessions.
 //!
 //! A [`Session`] wraps store operations and charges their modelled cost to a
-//! private [`SimClock`]. Each simulated front-end server or client owns one
+//! private [`SimClock`](crate::cost::SimClock). Each simulated front-end server or client owns one
 //! session; virtual elapsed time divided into operation counts yields the
 //! modelled QPS the benchmarks report.
 

@@ -299,7 +299,7 @@ impl Bigtable {
         Session::new(Arc::clone(self), profile)
     }
 
-    /// Opens a session attached to a shared [`MeterHub`]: every charge
+    /// Opens a session attached to a shared [`MeterHub`](crate::cost::MeterHub): every charge
     /// is mirrored into the hub, and the session's private meter starts
     /// at the hub's current totals so absolute mid-call reads replay the
     /// single-shared-clock timeline exactly. This is what lets a server

@@ -376,47 +376,64 @@ pub fn weighted_rendezvous_owner(key: u64, members: &[ShardWeight]) -> u64 {
 /// The weight floor substituted for non-finite / non-positive weights.
 const MIN_SHARD_WEIGHT: f64 = 1e-6;
 
+/// One member's standing in the rendezvous for one key: its weighted
+/// score, the raw hashed draw behind it, and its id. [`Rank::beats`] is
+/// the single ordering every winner and replica-set selection uses.
+struct Rank {
+    score: f64,
+    draw: u64,
+    id: u64,
+}
+
+impl Rank {
+    /// `score = w / (−ln u)`, where `u ∈ (0,1)` is the member's hashed
+    /// draw for `key` and `w` its weight clamped to [`MIN_SHARD_WEIGHT`].
+    fn of(key: u64, id: u64, weight: f64) -> Rank {
+        let draw = rendezvous_weight(key, id);
+        // Map the top 53 bits into (0,1): never 0 or 1, so ln is finite.
+        let u = ((draw >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+        let w = if weight.is_finite() && weight > 0.0 {
+            weight.max(MIN_SHARD_WEIGHT)
+        } else {
+            MIN_SHARD_WEIGHT
+        };
+        Rank {
+            score: w / -u.ln(),
+            draw,
+            id,
+        }
+    }
+
+    /// Whether `self` ranks strictly above `other`: higher score, then
+    /// the raw 64-bit draw (restores the unweighted ordering when equal
+    /// weights collapse scores), then the smaller id. Ids are distinct,
+    /// so this is a strict total order.
+    fn beats(&self, other: &Rank) -> bool {
+        self.score > other.score
+            || (self.score == other.score
+                && (self.draw > other.draw || (self.draw == other.draw && self.id < other.id)))
+    }
+}
+
 /// The rendezvous winner of `key` among `members`, each identified by
-/// `id_of` and weighted by `weight_of`. The single definition of winner
-/// selection — [`rendezvous_owner`], [`weighted_rendezvous_owner`] and the
-/// cluster tier's entry-based hot routing path all go through it, so
-/// routing and scheduler ownership can never disagree on a tie-break or
-/// weight change.
+/// `id_of` and weighted by `weight_of`. [`rendezvous_owner`],
+/// [`weighted_rendezvous_owner`] and the cluster tier's per-update
+/// routing all go through it, so routing and scheduler ownership can
+/// never disagree on a tie-break or weight change. Allocation-free.
 pub(crate) fn weighted_rendezvous_max<T>(
     key: u64,
     members: impl Iterator<Item = T>,
     id_of: impl Fn(&T) -> u64,
     weight_of: impl Fn(&T) -> f64,
 ) -> Option<T> {
-    let mut best: Option<(f64, u64, u64, T)> = None;
+    let mut best: Option<(Rank, T)> = None;
     for m in members {
-        let id = id_of(&m);
-        let h = rendezvous_weight(key, id);
-        // Map the top 53 bits into (0,1): never 0 or 1, so ln is finite.
-        let u = ((h >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
-        let w = {
-            let w = weight_of(&m);
-            if w.is_finite() && w > 0.0 {
-                w.max(MIN_SHARD_WEIGHT)
-            } else {
-                MIN_SHARD_WEIGHT
-            }
-        };
-        let score = w / -u.ln();
-        let better = match &best {
-            None => true,
-            // Tie-break: raw 64-bit draw (restores the unweighted
-            // ordering when equal weights collapse scores), then the
-            // smaller id.
-            Some((bs, bh, bid, _)) => {
-                score > *bs || (score == *bs && (h > *bh || (h == *bh && id < *bid)))
-            }
-        };
-        if better {
-            best = Some((score, h, id, m));
+        let rank = Rank::of(key, id_of(&m), weight_of(&m));
+        if best.as_ref().is_none_or(|(b, _)| rank.beats(b)) {
+            best = Some((rank, m));
         }
     }
-    best.map(|(_, _, _, m)| m)
+    best.map(|(_, m)| m)
 }
 
 /// The unweighted rendezvous winner — [`weighted_rendezvous_max`] with
@@ -430,10 +447,8 @@ pub(crate) fn rendezvous_max<T>(
 }
 
 /// The rendezvous top-`k` of `key` among `members`, best first, under
-/// exactly [`weighted_rendezvous_max`]'s ordering (score, then raw draw,
-/// then smaller id). Since member ids are distinct that ordering is a
-/// strict total order, so the ranked list is well-defined and its first
-/// element is bit-identical to the single winner — `k = 1` reproduces
+/// [`weighted_rendezvous_max`]'s ordering, so the first element is
+/// bit-identical to the single winner — `k = 1` reproduces
 /// [`weighted_rendezvous_owner`] exactly.
 ///
 /// Rank is what makes HRW replica sets cheap: a member's score for a key
@@ -448,36 +463,20 @@ pub(crate) fn weighted_rendezvous_ranked<T>(
     weight_of: impl Fn(&T) -> f64,
     k: usize,
 ) -> Vec<T> {
-    if k == 0 {
-        return Vec::new();
-    }
     // Small insertion-sorted list (k is 2–3 in practice).
-    let mut ranked: Vec<(f64, u64, u64, T)> = Vec::with_capacity(k + 1);
+    let mut ranked: Vec<(Rank, T)> = Vec::with_capacity(k + 1);
     for m in members {
-        let id = id_of(&m);
-        let h = rendezvous_weight(key, id);
-        let u = ((h >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
-        let w = {
-            let w = weight_of(&m);
-            if w.is_finite() && w > 0.0 {
-                w.max(MIN_SHARD_WEIGHT)
-            } else {
-                MIN_SHARD_WEIGHT
-            }
-        };
-        let score = w / -u.ln();
+        let rank = Rank::of(key, id_of(&m), weight_of(&m));
         let pos = ranked
             .iter()
-            .position(|(bs, bh, bid, _)| {
-                score > *bs || (score == *bs && (h > *bh || (h == *bh && id < *bid)))
-            })
+            .position(|(b, _)| rank.beats(b))
             .unwrap_or(ranked.len());
         if pos < k {
-            ranked.insert(pos, (score, h, id, m));
+            ranked.insert(pos, (rank, m));
             ranked.truncate(k);
         }
     }
-    ranked.into_iter().map(|(_, _, _, m)| m).collect()
+    ranked.into_iter().map(|(_, m)| m).collect()
 }
 
 /// The ranked rendezvous replica set of `key`: the top-`k` members by
@@ -633,7 +632,7 @@ impl SplitTable {
     /// Every routing key of the clustering level under this table: each
     /// unsplit cell once, each split cell as its four children. The keys
     /// partition the level exactly (each leaf index maps to exactly one
-    /// key via [`route_leaf`]).
+    /// key via [`route_leaf`](Self::route_leaf)).
     pub fn routing_keys(&self, clustering_level: u8) -> Vec<u64> {
         let mut keys = Vec::new();
         for cell in 0..cells_at_level(clustering_level) {
@@ -647,96 +646,28 @@ impl SplitTable {
     }
 }
 
-/// Slices a region query's merged leaf-index ranges by rendezvous owner:
-/// each range is split at clustering-cell boundaries (a clustering cell at
-/// `clustering_level` spans `4^(leaf_level − clustering_level)` contiguous
-/// leaf indexes) and every piece goes to the [`rendezvous_owner`] of its
-/// clustering cell, with adjacent same-owner pieces re-merged so each shard
-/// still scans maximal contiguous ranges.
+/// Slices a region query's merged leaf-index ranges by the shard that
+/// should read them. Each range is cut at routing-key boundaries — a
+/// clustering cell at `clustering_level` spans `4^(leaf_level −
+/// clustering_level)` contiguous leaf indexes, and cells in `splits` are
+/// cut one level finer, each child routed independently, exactly as the
+/// cluster tier routes updates. Every piece goes to the **least-loaded
+/// member of its key's top-`replicas` weighted rendezvous set**
+/// ([`weighted_rendezvous_owners`]) as measured by `load_of`, ties towards
+/// the better rank, so a level fleet reads from primaries; adjacent pieces
+/// for one reader re-merge so each shard scans maximal contiguous ranges.
+/// Reads are correct on any shard — the store is shared — so spreading a
+/// key's read slices over its followers scales read throughput per cell
+/// without touching the write path, which serializes on the primary alone.
 ///
-/// The returned slices are an **exact partition** of the input: no leaf
-/// index is dropped, duplicated, or moved — the scatter-gather region path
-/// scans precisely the ranges the single-server plan would have
-/// (property-tested in `moist-core/tests/rendezvous_props.rs`).
+/// The returned slices are an **exact partition** of the input, whatever
+/// `load_of` returns: no leaf index is dropped, duplicated, or moved
+/// (property-tested in `moist-core/tests/rendezvous_props.rs`). With
+/// `replicas <= 1` every piece goes to its weighted primary.
 ///
-/// Returns `(owner id, that owner's merged ranges)` pairs in ascending
-/// owner-id order. Panics if `members` is empty or `clustering_level >
+/// Returns `(reader id, that reader's merged ranges)` pairs in ascending
+/// id order. Panics if `members` is empty or `clustering_level >
 /// leaf_level` (both are rejected by [`MoistConfig::validate`]).
-pub fn slice_ranges_by_owner(
-    ranges: &[(u64, u64)],
-    clustering_level: u8,
-    leaf_level: u8,
-    members: &[u64],
-) -> Vec<(u64, Vec<(u64, u64)>)> {
-    let weighted: Vec<ShardWeight> = members.iter().map(|&id| ShardWeight::unit(id)).collect();
-    slice_ranges_by_placement(
-        ranges,
-        clustering_level,
-        leaf_level,
-        &weighted,
-        &SplitTable::default(),
-    )
-}
-
-/// [`slice_ranges_by_owner`] under the full placement model: owners are
-/// the **weighted** rendezvous winners ([`weighted_rendezvous_owner`]) and
-/// cells in `splits` are cut one level finer, each child routed
-/// independently — exactly the routing the cluster tier applies to
-/// updates, so a scattered query's slices land on the shards that own the
-/// matching write traffic. Still an exact partition of the input (the
-/// property test covers this variant too).
-pub fn slice_ranges_by_placement(
-    ranges: &[(u64, u64)],
-    clustering_level: u8,
-    leaf_level: u8,
-    members: &[ShardWeight],
-    splits: &SplitTable,
-) -> Vec<(u64, Vec<(u64, u64)>)> {
-    assert!(
-        clustering_level <= leaf_level,
-        "clustering level {clustering_level} finer than leaf level {leaf_level}"
-    );
-    let shift = 2 * (leaf_level - clustering_level) as u64;
-    let mut by_owner: std::collections::BTreeMap<u64, Vec<(u64, u64)>> =
-        std::collections::BTreeMap::new();
-    for &(start, end) in ranges {
-        let mut s = start;
-        while s < end {
-            let cell = s >> shift;
-            // Split cells cut at child boundaries so each child's piece
-            // can go to its own owner; unsplit cells cut as before.
-            let (key, e) = if shift >= 2 && splits.is_split(cell) {
-                let child_shift = shift - 2;
-                let child = s >> child_shift;
-                (SPLIT_CHILD_TAG | child, end.min((child + 1) << child_shift))
-            } else {
-                (cell, end.min((cell + 1) << shift))
-            };
-            let slots = by_owner
-                .entry(weighted_rendezvous_owner(key, members))
-                .or_default();
-            match slots.last_mut() {
-                Some((_, le)) if *le == s => *le = e,
-                _ => slots.push((s, e)),
-            }
-            s = e;
-        }
-    }
-    by_owner.into_iter().collect()
-}
-
-/// [`slice_ranges_by_placement`] under replicated ownership: each routing
-/// key's piece goes to the **least-loaded member of its top-`replicas`
-/// rendezvous set** ([`weighted_rendezvous_owners`]) as measured by
-/// `load_of` (ties towards the better rank, so a level fleet reads from
-/// primaries). Reads are correct on any shard — the store is shared — so
-/// spreading a key's read slices over its followers scales read
-/// throughput per cell without touching the write path, which still
-/// serializes on the primary alone.
-///
-/// Still an exact partition of the input, whatever `load_of` returns.
-/// With `replicas <= 1` every piece goes to its primary and the output is
-/// exactly [`slice_ranges_by_placement`]'s.
 pub fn slice_ranges_by_replicas(
     ranges: &[(u64, u64)],
     clustering_level: u8,
@@ -751,7 +682,7 @@ pub fn slice_ranges_by_replicas(
         "clustering level {clustering_level} finer than leaf level {leaf_level}"
     );
     let shift = 2 * (leaf_level - clustering_level) as u64;
-    let mut by_owner: std::collections::BTreeMap<u64, Vec<(u64, u64)>> =
+    let mut by_reader: std::collections::BTreeMap<u64, Vec<(u64, u64)>> =
         std::collections::BTreeMap::new();
     for &(start, end) in ranges {
         let mut s = start;
@@ -764,17 +695,20 @@ pub fn slice_ranges_by_replicas(
             } else {
                 (cell, end.min((cell + 1) << shift))
             };
-            let set = weighted_rendezvous_owners(key, members, replicas.max(1));
-            let reader = set
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    load_of(a)
-                        .partial_cmp(&load_of(b))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("replica set is non-empty");
-            let slots = by_owner.entry(reader).or_default();
+            // One replica: the primary, without building a replica set.
+            let reader = if replicas <= 1 {
+                weighted_rendezvous_owner(key, members)
+            } else {
+                weighted_rendezvous_owners(key, members, replicas)
+                    .into_iter()
+                    .min_by(|&a, &b| {
+                        load_of(a)
+                            .partial_cmp(&load_of(b))
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    })
+                    .expect("replica set is non-empty")
+            };
+            let slots = by_reader.entry(reader).or_default();
             match slots.last_mut() {
                 Some((_, le)) if *le == s => *le = e,
                 _ => slots.push((s, e)),
@@ -782,7 +716,7 @@ pub fn slice_ranges_by_replicas(
             s = e;
         }
     }
-    by_owner.into_iter().collect()
+    by_reader.into_iter().collect()
 }
 
 /// Tracks per-cell clustering deadlines so servers can run lazy clustering
@@ -904,11 +838,6 @@ impl ClusterScheduler {
     /// Number of clustering cells this scheduler owns.
     pub fn owned_count(&self) -> usize {
         self.heap.len()
-    }
-
-    /// The owned cell indices, in no particular order.
-    pub fn owned_cells(&self) -> Vec<u64> {
-        self.owned.iter().copied().collect()
     }
 
     /// The pending deadline (virtual µs) of owned cell `index`, or `None`
@@ -1342,21 +1271,23 @@ mod tests {
     }
 
     #[test]
-    fn replica_slicing_partitions_and_degenerates_to_placement() {
+    fn replica_slicing_partitions_and_shifts_reads_off_a_loaded_shard() {
         let members: Vec<ShardWeight> = [1u64, 2, 5, 9]
             .iter()
             .map(|&id| ShardWeight::unit(id))
             .collect();
         let (cl, ll) = (2u8, 5u8);
         let ranges = [(0u64, 700u64), (800, 1024)];
-        // replicas = 1 reproduces the placement slicing exactly.
-        let placement =
-            slice_ranges_by_placement(&ranges, cl, ll, &members, &SplitTable::default());
-        let by_primary =
+        // replicas = 1 reads every piece on its primary: load is ignored.
+        let idle =
             slice_ranges_by_replicas(&ranges, cl, ll, &members, &SplitTable::default(), 1, |_| {
                 0.0
             });
-        assert_eq!(placement, by_primary);
+        let loaded =
+            slice_ranges_by_replicas(&ranges, cl, ll, &members, &SplitTable::default(), 1, |id| {
+                id as f64
+            });
+        assert_eq!(idle, loaded);
         // replicas = 2 with a load signal still partitions the input.
         let sliced =
             slice_ranges_by_replicas(&ranges, cl, ll, &members, &SplitTable::default(), 2, |id| {
@@ -1501,7 +1432,7 @@ mod tests {
     }
 
     #[test]
-    fn placement_slicing_cuts_split_cells_at_child_boundaries() {
+    fn slicing_cuts_split_cells_at_child_boundaries() {
         let (cl, ll) = (1u8, 4u8);
         let members = [
             ShardWeight::unit(10),
@@ -1511,7 +1442,7 @@ mod tests {
         let mut splits = SplitTable::new();
         splits.split(2);
         let span = 1u64 << (2 * ll);
-        let slices = slice_ranges_by_placement(&[(0, span)], cl, ll, &members, &splits);
+        let slices = slice_ranges_by_replicas(&[(0, span)], cl, ll, &members, &splits, 1, |_| 0.0);
         // Exact partition, and every piece inside cell 2 belongs to the
         // weighted owner of its child key.
         let mut flat: Vec<(u64, u64)> = Vec::new();

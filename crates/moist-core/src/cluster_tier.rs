@@ -23,14 +23,14 @@
 //!
 //! The fleet can grow and shrink live. Membership is an epoch-stamped,
 //! read-mostly snapshot: each operation grabs an `Arc` of the current
-//! [`Membership`] (one brief read-lock), routes against it, and keeps the
+//! `Membership` (one brief read-lock), routes against it, and keeps the
 //! target shard alive through the `Arc` even if the membership changes
 //! mid-flight. [`add_shard`] and [`remove_shard`] bump the epoch and swap
 //! the snapshot. Updates additionally validate their routing against a
 //! membership seqlock after taking the owner's lock and re-route if an
-//! epoch bump raced them (see [`update`](MoistCluster::update)), so a
-//! write never lands on a migrated cell's old owner — no torn routing,
-//! no lost updates; read-only queries route on the snapshot alone.
+//! epoch bump raced them (see [`update_batch`](MoistCluster::update_batch)),
+//! so a write never lands on a migrated cell's old owner — no torn
+//! routing, no lost updates; read-only queries route on the snapshot alone.
 //!
 //! Because ownership is a **rendezvous** (highest-random-weight) hash over
 //! the stable shard *ids* — not a modular hash over the shard *count* —
@@ -57,9 +57,9 @@
 //! Updates route to one shard by design — a cell's writes must serialize
 //! on its owner. Queries have no such constraint: any shard reads a
 //! consistent view of the shared store. [`region`](MoistCluster::region)
-//! therefore plans its merged leaf ranges once, slices them by rendezvous
-//! owner ([`crate::cluster::slice_ranges_by_owner`] — an exact partition
-//! of the plan), scans every slice on a pooled worker
+//! therefore plans its merged leaf ranges once, slices them by the shard
+//! that should read them ([`crate::cluster::slice_ranges_by_replicas`] —
+//! an exact partition of the plan), scans every slice on a pooled worker
 //! ([`crate::query_pool::QueryPool`]) against its owner shard, and merges
 //! the partials: hits move (never clone) into one list and each object is
 //! deduplicated exactly once at the merge (partials scanned at different
@@ -106,26 +106,24 @@
 //!
 //! ## Replicated ownership
 //!
-//! With [`with_replicas`](MoistCluster::with_replicas)`(k)`, ownership of
-//! each routing key widens from the rendezvous *winner* to the rendezvous
+//! With `k` replicas ([`ClusterBuilder::replicas`]), ownership of each
+//! routing key widens from the rendezvous *winner* to the rendezvous
 //! **top-k** ([`crate::cluster::rendezvous_owners`]): rank 0 is the
 //! **primary** — the only shard that takes the key's updates and clusters
 //! it, so every exclusivity invariant above is unchanged — and ranks 1+
 //! are **followers**. Followers hold no private state (the store is
 //! shared, so they mirror the key's schools and spatial rows for free);
-//! what they add is a wider *read* path: NN anchors, fixed-level NN,
-//! anchored regions and object lookups route to the least-loaded live
+//! what they add is a wider *read* path: NN anchors, fixed-level NN and
+//! object lookups route to the least-loaded live
 //! replica of their key (by virtual elapsed store time, primary on ties),
 //! and scattered NN rings / region slices spread across follower sets the
 //! same way. Because a member's rendezvous score is independent of the
 //! other members, the top-k list is **prefix-stable**: when a primary
 //! leaves, each of its keys' rank-1 follower — already warm on that key's
 //! reads — is exactly the new winner, and adopts the key's clustering
-//! deadline through the ordinary [`migrate_ownership`] handover. Failover
-//! is therefore *promotion*, not recovery. `k = 1` (the default)
-//! reproduces the single-owner tier bit-identically.
-//!
-//! [`migrate_ownership`]: MoistCluster::remove_shard
+//! deadline through the ordinary ownership handover. Failover is
+//! therefore *promotion*, not recovery. `k = 1` (the default) is the
+//! single-owner tier.
 //!
 //! ## Pipelined ingestion
 //!
@@ -136,11 +134,12 @@
 //! [`MoistServer::update_batch`] when it reaches the batch size or its
 //! oldest message ages past the flush deadline
 //! ([`flush_due`](MoistCluster::flush_due)), and surfaces a full queue as
-//! typed backpressure instead of queueing unboundedly. Batched flushes go
-//! through [`update_batch`](MoistCluster::update_batch), which re-routes
-//! every message under the same membership seqlock the synchronous path
-//! uses — grouped by the *current* owner, re-validated after each owner
-//! lock — and every epoch bump (join, leave, rebalance) drains the queues
+//! typed backpressure instead of queueing unboundedly. Synchronous updates
+//! and flushes alike go through
+//! [`update_batch`](MoistCluster::update_batch), which routes every
+//! message under the membership seqlock — grouped by the *current* owner,
+//! re-validated after each owner lock — and every epoch bump (join,
+//! leave, rebalance) drains the queues
 //! right after publishing its snapshot
 //! ([`drain_ingest`](MoistCluster::drain_ingest)), so in-flight batches
 //! re-route rather than land on a migrated cell's old owner and a killed
@@ -176,8 +175,8 @@
 //! ```
 
 use crate::cluster::{
-    slice_ranges_by_placement, slice_ranges_by_replicas, weighted_rendezvous_max,
-    weighted_rendezvous_ranked, ClusterReport, ClusterScheduler, ShardWeight, SplitTable,
+    slice_ranges_by_replicas, weighted_rendezvous_max, weighted_rendezvous_ranked, ClusterReport,
+    ClusterScheduler, ShardWeight, SplitTable,
 };
 use crate::config::MoistConfig;
 use crate::controller::{
@@ -199,7 +198,7 @@ use crate::update::{UpdateMessage, UpdateOutcome};
 use moist_archive::PppArchiver;
 use moist_bigtable::{Bigtable, RecoveryReport, StoreConfig, Timestamp};
 use moist_spatial::{cells_at_level, CellId, Point, Rect};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -347,7 +346,7 @@ impl ClusterStats {
     /// Total submissions that produced **no** store-applied update:
     /// school sheds ([`ServerStats::shed`] — absorbed by the school
     /// model), pipeline overload sheds (dropped on a full queue under
-    /// [`BackpressurePolicy::Shed`](crate::BackpressurePolicy::Shed)) and
+    /// [`BackpressurePolicy::Shed`]) and
     /// backpressure rejections (refused, client retries). The three are
     /// kept as separate counters because they mean different things to a
     /// client-visible QPS derivation — school sheds are *served* updates,
@@ -382,12 +381,28 @@ struct ShardEntry {
 }
 
 impl ShardEntry {
-    fn new(id: u64, server: MoistServer) -> Self {
-        ShardEntry {
+    /// Builds shard `id`: a server over the shared tables holding the
+    /// `scheduler` slice of the clustering level, feeding FLAG the
+    /// tier-wide object `estimate` and, if any, the shared `archiver`.
+    fn open(
+        id: u64,
+        store: &Arc<Bigtable>,
+        cfg: MoistConfig,
+        scheduler: ClusterScheduler,
+        estimate: &Arc<AtomicU64>,
+        archiver: Option<&Arc<PppArchiver>>,
+    ) -> Result<Arc<Self>> {
+        let mut server = MoistServer::new(store, cfg)?
+            .with_scheduler(scheduler)
+            .with_shared_estimate(Arc::clone(estimate));
+        if let Some(archiver) = archiver {
+            server = server.with_archiver(Arc::clone(archiver));
+        }
+        Ok(Arc::new(ShardEntry {
             id,
             server: RwLock::new(server),
             replica_reads: AtomicU64::new(0),
-        }
+        }))
     }
 }
 
@@ -478,6 +493,11 @@ impl Membership {
     fn route_leaf(&self, leaf: u64, cfg: &MoistConfig) -> u64 {
         self.splits
             .route_leaf(leaf, cfg.clustering_level, cfg.space.leaf_level)
+    }
+
+    /// The routing key of the leaf cell containing `p`.
+    fn route_point(&self, p: &Point, cfg: &MoistConfig) -> u64 {
+        self.route_leaf(cfg.space.leaf_cell(p).index, cfg)
     }
 
     fn entry(&self, shard: usize) -> Result<&Arc<ShardEntry>> {
@@ -593,8 +613,7 @@ pub struct MoistCluster {
     /// span×density prior.
     cell_scan_cost: RwLock<Arc<HashMap<u64, f64>>>,
     /// Ingestion-pipeline knobs (batch size, queue cap, flush deadline,
-    /// backpressure policy). Defaulted; tuned via
-    /// [`with_ingest`](MoistCluster::with_ingest).
+    /// backpressure policy), set by [`ClusterBuilder::ingest`].
     ingest_cfg: IngestConfig,
     /// The per-shard bounded submission queues plus their counters.
     ingest: IngestQueues,
@@ -605,15 +624,11 @@ pub struct MoistCluster {
     controller: Option<Mutex<AutoController>>,
 }
 
-/// The one construction path for [`MoistCluster`]: every knob — fleet
-/// size, replication factor, ingest pipeline, elasticity controller,
-/// archiver — is set on the builder, and both fresh construction
+/// The construction path for [`MoistCluster`]: every knob — fleet size,
+/// replication factor, ingest pipeline, elasticity controller, archiver —
+/// is set on the builder, and both fresh construction
 /// ([`build`](ClusterBuilder::build)) and crash recovery
-/// ([`recover`](ClusterBuilder::recover)) honour all of them. The old
-/// constructors ([`MoistCluster::new`], [`MoistCluster::recover`],
-/// [`with_replicas`](MoistCluster::with_replicas),
-/// [`with_ingest`](MoistCluster::with_ingest)) survive as thin wrappers
-/// over this builder.
+/// ([`recover`](ClusterBuilder::recover)) honour all of them.
 ///
 /// ```
 /// # use moist_core::{MoistCluster, MoistConfig, ControllerConfig, IngestConfig};
@@ -636,7 +651,7 @@ pub struct ClusterBuilder {
     cfg: MoistConfig,
     shards: usize,
     replicas: usize,
-    ingest: Option<IngestConfig>,
+    ingest: IngestConfig,
     controller: Option<ControllerConfig>,
     archiver: Option<Arc<PppArchiver>>,
 }
@@ -648,17 +663,31 @@ impl ClusterBuilder {
         self
     }
 
-    /// Replication factor (default 1 = unreplicated single-owner; see
-    /// [`MoistCluster::with_replicas`] for semantics).
+    /// Replication factor (default 1; clamped to at least 1): each
+    /// routing key is owned by its rendezvous top-`k` shards — the rank-0
+    /// **primary** (updates and clustering, exactly as in the
+    /// unreplicated tier) plus `k − 1` **followers** that mirror the key's
+    /// state through the shared store and serve its reads when they are
+    /// less loaded than the primary. `k` clamps to the live shard count.
+    ///
+    /// Replication here costs no extra storage or write amplification —
+    /// the store is shared, followers hold no private state — it widens
+    /// each key's *read* path and pre-arms a leave: when the primary
+    /// dies, the rank-1 follower is already serving the key's reads and
+    /// adopts its clustering deadlines through the normal migration path.
     pub fn replicas(mut self, k: usize) -> Self {
         self.replicas = k;
         self
     }
 
-    /// Ingestion-pipeline knobs (default [`IngestConfig::default`]; see
-    /// [`MoistCluster::with_ingest`]).
+    /// Ingestion-pipeline knobs for [`submit`](MoistCluster::submit) /
+    /// [`flush_due`](MoistCluster::flush_due): batch size, queue cap,
+    /// flush deadline and the full-queue policy (default
+    /// [`IngestConfig::default`]). Degenerate sizes are clamped to
+    /// workable minima. The synchronous [`update`](MoistCluster::update)
+    /// path is unaffected.
     pub fn ingest(mut self, cfg: IngestConfig) -> Self {
-        self.ingest = Some(cfg);
+        self.ingest = cfg;
         self
     }
 
@@ -670,8 +699,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Streams all non-shed location writes into a shared PPP archiver
-    /// (see [`MoistCluster::with_archiver`]).
+    /// Streams all non-shed location writes of every shard — current and
+    /// future joiners — into one shared PPP archiver.
     pub fn archiver(mut self, archiver: Arc<PppArchiver>) -> Self {
         self.archiver = Some(archiver);
         self
@@ -683,11 +712,9 @@ impl ClusterBuilder {
         self.build_over(&store)
     }
 
-    /// Rebuilds the tier from a crashed durable store, carrying **every**
-    /// builder knob over to the recovered fleet — this is the fix for
-    /// the old [`MoistCluster::recover`], which silently rebuilt with
-    /// default replica/ingest settings. The store the builder was bound
-    /// to is ignored; the recovered store replaces it.
+    /// Rebuilds the tier from a crashed durable store, carrying every
+    /// builder knob over to the recovered fleet. The store the builder
+    /// was bound to is ignored; the recovered store replaces it.
     ///
     /// [`Bigtable::recover`] replays every table's snapshot + WAL tail
     /// to its last consistent cut, then the fleet is built over the
@@ -707,77 +734,27 @@ impl ClusterBuilder {
         Ok((store, cluster, report))
     }
 
-    /// The shared construction body: the base fleet (bit-identical to
-    /// what `MoistCluster::new` always built), then each configured knob
-    /// applied through the same public combinator the old API exposed —
-    /// so builder and wrappers cannot drift apart.
+    /// Builds the fleet over `store`: `shards` servers with unit weights
+    /// at epoch 0 and no splits, each holding the rendezvous slice of the
+    /// clustering schedule it wins and the shared object-count estimate
+    /// (seeded from the store's row count, so a tier over a populated
+    /// store starts with the right FLAG `n`).
     fn build_over(&self, store: &Arc<Bigtable>) -> Result<MoistCluster> {
-        let mut cluster = MoistCluster::build_base(store, self.cfg, self.shards)?;
-        if let Some(icfg) = self.ingest {
-            cluster = cluster.with_ingest(icfg);
-        }
-        if self.replicas != 1 {
-            cluster = cluster.with_replicas(self.replicas);
-        }
-        if let Some(archiver) = &self.archiver {
-            cluster = cluster.with_archiver(Arc::clone(archiver));
-        }
-        if let Some(ccfg) = self.controller {
-            cluster.controller = Some(Mutex::new(AutoController::new(ccfg)));
-        }
-        Ok(cluster)
-    }
-}
-
-impl MoistCluster {
-    /// Starts a [`ClusterBuilder`] over `store` — **the** construction
-    /// path for the tier. Every knob (fleet size, replicas, ingest,
-    /// controller, archiver) is set on the builder; the legacy
-    /// constructors below are thin wrappers over it.
-    pub fn builder(store: &Arc<Bigtable>, cfg: MoistConfig) -> ClusterBuilder {
-        ClusterBuilder {
-            store: Arc::clone(store),
-            cfg,
-            shards: 1,
-            replicas: 1,
-            ingest: None,
-            controller: None,
-            archiver: None,
-        }
-    }
-
-    /// Opens (or on first use creates) the MOIST tables in `store` and
-    /// builds a tier of `shards` front-end servers around them.
-    ///
-    /// Wrapper kept for compatibility — prefer
-    /// [`builder`](MoistCluster::builder):
-    /// `MoistCluster::builder(store, cfg).shards(n).build()` is this
-    /// call, bit for bit.
-    pub fn new(store: &Arc<Bigtable>, cfg: MoistConfig, shards: usize) -> Result<Self> {
-        Self::builder(store, cfg).shards(shards).build()
-    }
-
-    /// The base fleet every construction path shares: `shards` servers,
-    /// unit weights, epoch 0, no splits, replication factor 1, default
-    /// ingest pipeline, no controller.
-    ///
-    /// Each shard gets the rendezvous slice of the clustering schedule it
-    /// wins and the shared object-count estimate (seeded from the store's
-    /// row count, so a tier over a populated store starts with the right
-    /// FLAG `n`).
-    fn build_base(store: &Arc<Bigtable>, cfg: MoistConfig, shards: usize) -> Result<Self> {
-        let shards = shards.max(1);
+        let cfg = self.cfg;
+        let shards = self.shards.max(1);
         let object_estimate = Arc::new(AtomicU64::new(0));
         let ids: Vec<u64> = (0..shards as u64).collect();
         let entries: Vec<Arc<ShardEntry>> = ids
             .iter()
             .map(|&id| {
-                Ok(Arc::new(ShardEntry::new(
+                ShardEntry::open(
                     id,
-                    MoistServer::new(store, cfg)?
-                        .with_scheduler(ClusterScheduler::for_member(&cfg, id, &ids))
-                        .with_shared_estimate(Arc::clone(&object_estimate)),
-                )))
+                    store,
+                    cfg,
+                    ClusterScheduler::for_member(&cfg, id, &ids),
+                    &object_estimate,
+                    self.archiver.as_ref(),
+                )
             })
             .collect::<Result<_>>()?;
         Ok(MoistCluster {
@@ -788,12 +765,12 @@ impl MoistCluster {
                 weights: vec![1.0; entries.len()],
                 splits: Arc::new(SplitTable::default()),
                 shards: entries,
-                replicas: 1,
+                replicas: self.replicas.max(1),
             }))),
             query_pool: QueryPool::sized_for_host(),
             retired: Mutex::new(RetiredShards::default()),
             object_estimate,
-            archiver: None,
+            archiver: self.archiver.clone(),
             next_shard_id: AtomicU64::new(shards as u64),
             version: AtomicU64::new(0),
             epoch_migrations: AtomicU64::new(0),
@@ -803,30 +780,26 @@ impl MoistCluster {
             rebalance_baseline: Mutex::new(HashMap::new()),
             cell_density: RwLock::new(Arc::new(HashMap::new())),
             cell_scan_cost: RwLock::new(Arc::new(HashMap::new())),
-            ingest_cfg: IngestConfig::default().normalized(),
+            ingest_cfg: self.ingest.normalized(),
             ingest: IngestQueues::default(),
-            controller: None,
+            controller: self.controller.map(|c| Mutex::new(AutoController::new(c))),
         })
     }
+}
 
-    /// Rebuilds a tier from a crashed durable store, with **default**
-    /// replica/ingest settings.
-    ///
-    /// Wrapper kept for compatibility — prefer
-    /// [`ClusterBuilder::recover`], which carries the crashed tier's
-    /// replica/ingest/controller knobs onto the recovered fleet instead
-    /// of silently resetting them:
-    /// `MoistCluster::builder(&store, cfg).shards(n).replicas(k).recover(store_cfg)`.
-    pub fn recover(
-        store_cfg: StoreConfig,
-        cfg: MoistConfig,
-        shards: usize,
-    ) -> Result<(Arc<Bigtable>, Self, RecoveryReport)> {
-        // The builder needs a store to bind to; `recover` replaces it
-        // with the recovered one, so an empty placeholder does.
-        Self::builder(&Bigtable::new(), cfg)
-            .shards(shards)
-            .recover(store_cfg)
+impl MoistCluster {
+    /// Starts a [`ClusterBuilder`] over `store` — the tier's one
+    /// construction path.
+    pub fn builder(store: &Arc<Bigtable>, cfg: MoistConfig) -> ClusterBuilder {
+        ClusterBuilder {
+            store: Arc::clone(store),
+            cfg,
+            shards: 1,
+            replicas: 1,
+            ingest: IngestConfig::default(),
+            controller: None,
+            archiver: None,
+        }
     }
 
     /// Durability checkpoint: drains the ingest pipeline so every
@@ -841,21 +814,6 @@ impl MoistCluster {
         Ok((drained, bytes))
     }
 
-    /// Tunes the ingestion pipeline ([`submit`](MoistCluster::submit) /
-    /// [`flush_due`](MoistCluster::flush_due)): batch size, queue cap,
-    /// flush deadline and the full-queue policy. Degenerate sizes are
-    /// clamped to workable minima. The synchronous
-    /// [`update`](MoistCluster::update) path is unaffected.
-    ///
-    /// Wrapper kept for compatibility — prefer
-    /// [`ClusterBuilder::ingest`], which is this call applied at build
-    /// time (and the only form [`ClusterBuilder::recover`] can carry
-    /// across a crash).
-    pub fn with_ingest(mut self, cfg: IngestConfig) -> Self {
-        self.ingest_cfg = cfg.normalized();
-        self
-    }
-
     /// The ingestion pipeline's current knobs.
     pub fn ingest_config(&self) -> IngestConfig {
         self.ingest_cfg
@@ -867,54 +825,9 @@ impl MoistCluster {
         self.ingest.stats()
     }
 
-    /// Sets the replication factor: each routing key is owned by its
-    /// rendezvous top-`k` shards — the rank-0 **primary** (updates and
-    /// clustering, exactly as in the unreplicated tier) plus `k − 1`
-    /// **followers** that mirror the key's state through the shared store
-    /// and serve its reads when they are less loaded than the primary.
-    /// `k` clamps to the live shard count; `with_replicas(1)` (the
-    /// default) reproduces single-owner routing bit-identically.
-    ///
-    /// Replication here costs no extra storage or write amplification —
-    /// the store is shared, followers hold no private state — it widens
-    /// each key's *read* path and pre-arms a leave: when the primary
-    /// dies, the rank-1 follower is already serving the key's reads and
-    /// adopts its clustering deadlines through the normal migration path.
-    ///
-    /// Wrapper kept for compatibility — prefer
-    /// [`ClusterBuilder::replicas`], which is this call applied at build
-    /// time (and the only form [`ClusterBuilder::recover`] can carry
-    /// across a crash).
-    pub fn with_replicas(self, k: usize) -> Self {
-        {
-            let mut guard = self.membership.write();
-            let old = Arc::clone(&guard);
-            *guard = Arc::new(Membership {
-                epoch: old.epoch,
-                shards: old.shards.clone(),
-                weights: old.weights.clone(),
-                splits: Arc::clone(&old.splits),
-                replicas: k.max(1),
-            });
-        }
-        self
-    }
-
     /// The configured replication factor.
     pub fn replicas(&self) -> usize {
         self.snapshot().replicas
-    }
-
-    /// Attaches one PPP archiver to every shard (current and future
-    /// joiners): all non-shed location writes stream into the shared
-    /// aged-data pipeline.
-    pub fn with_archiver(mut self, archiver: Arc<PppArchiver>) -> Self {
-        let snap = self.membership.read().clone();
-        for entry in &snap.shards {
-            entry.server.write().set_archiver(Arc::clone(&archiver));
-        }
-        self.archiver = Some(archiver);
-        self
     }
 
     /// The current membership snapshot.
@@ -952,6 +865,20 @@ impl MoistCluster {
     fn note_replica_read(&self, entry: &ShardEntry) {
         entry.replica_reads.fetch_add(1, Ordering::Relaxed);
         self.replica_reads.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The replica serving one read, routed on the current snapshot by
+    /// the routing key `key_of` picks there ([`read_replica`]), with a
+    /// follower-served read counted.
+    ///
+    /// [`read_replica`]: MoistCluster::read_replica
+    fn reader(&self, key_of: impl FnOnce(&Membership) -> u64) -> Arc<ShardEntry> {
+        let snap = self.snapshot();
+        let (entry, follower) = self.read_replica(&snap, key_of(&snap));
+        if follower {
+            self.note_replica_read(entry);
+        }
+        Arc::clone(entry)
     }
 
     /// The entry at position `shard` in the current snapshot, as an owned
@@ -993,21 +920,22 @@ impl MoistCluster {
     /// had on its old owner. In-flight operations keep routing against
     /// the pre-join snapshot and land correctly in the shared store.
     pub fn add_shard(&self) -> Result<u64> {
-        let mut guard = self.membership.write();
+        let guard = self.membership.write();
         let old = Arc::clone(&guard);
         let id = self.next_shard_id.fetch_add(1, Ordering::Relaxed);
-        let mut server = MoistServer::new(&self.store, self.cfg)?
-            .with_scheduler(ClusterScheduler::empty(&self.cfg))
-            .with_shared_estimate(Arc::clone(&self.object_estimate));
-        if let Some(archiver) = &self.archiver {
-            server = server.with_archiver(Arc::clone(archiver));
-        }
-        let joiner = Arc::new(ShardEntry::new(id, server));
+        let joiner = ShardEntry::open(
+            id,
+            &self.store,
+            self.cfg,
+            ClusterScheduler::empty(&self.cfg),
+            &self.object_estimate,
+            self.archiver.as_ref(),
+        )?;
 
         let mut shards = old.shards.clone();
         let mut weights = old.weights.clone();
         let pos = shards.partition_point(|e| e.id < id);
-        shards.insert(pos, Arc::clone(&joiner));
+        shards.insert(pos, joiner);
         // A joiner starts at the fleet's mean weight: unproven capacity
         // gets an average share, and the next rebalance corrects it from
         // measurement.
@@ -1027,21 +955,58 @@ impl MoistCluster {
             splits: Arc::clone(&old.splits),
             replicas: old.replicas,
         };
+        self.publish(guard, new, &self.epoch_migrations, None)?;
+        Ok(id)
+    }
 
-        // Seqlock odd phase: updates started against the old snapshot
-        // will re-validate and re-route rather than land on a cell whose
-        // owner is mid-migration.
+    /// Publishes membership `new` in place of the snapshot `guard` holds —
+    /// the one epoch-bump sequence joins, leaves and rebalances share:
+    ///
+    /// 1. the seqlock goes odd, so updates started against the old
+    ///    snapshot re-validate and re-route rather than land on a key
+    ///    whose owner is mid-migration;
+    /// 2. every key whose owner changed is handed over at its deadline
+    ///    phase ([`migrate_ownership`](MoistCluster::migrate_ownership)),
+    ///    counted into `migrations`;
+    /// 3. a `departed` shard is retired — its counters stay in
+    ///    [`stats`](MoistCluster::stats) — and, when replicated, each of
+    ///    its handed-over keys counts as a follower promotion;
+    /// 4. the snapshot swaps and the seqlock goes even;
+    /// 5. with the write lock released (the drain re-takes it read-side),
+    ///    the ingest queues drain under the new owners, so batches
+    ///    buffered under the old epoch re-route instead of being stranded.
+    ///    A drain error propagates: the new epoch is already live, and
+    ///    buffered acknowledged updates that fail to apply must not vanish
+    ///    behind a successful-looking result.
+    ///
+    /// Returns the number of keys that changed owner.
+    fn publish(
+        &self,
+        mut guard: RwLockWriteGuard<'_, Arc<Membership>>,
+        new: Membership,
+        migrations: &AtomicU64,
+        departed: Option<Arc<ShardEntry>>,
+    ) -> Result<u64> {
+        let old = Arc::clone(&guard);
         self.version.fetch_add(1, Ordering::AcqRel);
         let migrated = self.migrate_ownership(&old, &new);
-        self.epoch_migrations.fetch_add(migrated, Ordering::Relaxed);
+        migrations.fetch_add(migrated, Ordering::Relaxed);
+        if let Some(departed) = departed {
+            if old.replicas > 1 {
+                // Rendezvous ranks are prefix-stable under a leave: every
+                // migrated key's new primary is exactly its old rank-1
+                // follower, already warm on the key's reads.
+                self.promotions.fetch_add(migrated, Ordering::Relaxed);
+            }
+            let mut retired = self.retired.lock();
+            retired.entries.push(departed);
+            retired.compact();
+        }
         *guard = Arc::new(new);
         self.version.fetch_add(1, Ordering::AcqRel);
-        // Drain the ingest queues against the published snapshot (write
-        // lock released first — the drain re-takes it read-side): batches
-        // buffered under the old epoch re-route to the new owners now.
         drop(guard);
         self.drain_ingest()?;
-        Ok(id)
+        Ok(migrated)
     }
 
     /// Moves every routing key whose owner differs between `old` and
@@ -1051,9 +1016,10 @@ impl MoistCluster {
     /// children. The single migration path shared by
     /// [`add_shard`](MoistCluster::add_shard),
     /// [`remove_shard`](MoistCluster::remove_shard) and
-    /// [`rebalance`](MoistCluster::rebalance) — callers hold the
-    /// membership write lock and the seqlock's odd phase. Returns the
-    /// number of keys that changed owner.
+    /// [`rebalance`](MoistCluster::rebalance) through
+    /// [`publish`](MoistCluster::publish), which holds the membership
+    /// write lock and the seqlock's odd phase. Returns the number of keys
+    /// that changed owner.
     fn migrate_ownership(&self, old: &Membership, new: &Membership) -> u64 {
         let mut migrated = 0u64;
         // Moves one key if its owner changed; returns whether it did.
@@ -1101,9 +1067,9 @@ impl MoistCluster {
                     }
                 }
                 (true, false) => {
-                    // Un-split (not produced by today's rebalance policy,
-                    // but the handover stays total): the earliest child
-                    // deadline becomes the reunited cell's phase.
+                    // Un-split (a rebalance reunites cells whose demand
+                    // faded): the earliest child deadline becomes the
+                    // reunited cell's phase.
                     let mut due = u64::MAX;
                     for child in SplitTable::child_keys(cell) {
                         if let Some(d) = old
@@ -1146,7 +1112,7 @@ impl MoistCluster {
     ///
     /// [`stats`]: MoistCluster::stats
     pub fn remove_shard(&self, id: u64) -> Result<()> {
-        let mut guard = self.membership.write();
+        let guard = self.membership.write();
         let old = Arc::clone(&guard);
         let pos = old.position_of(id).ok_or_else(|| {
             MoistError::NoSuchShard(format!(
@@ -1160,10 +1126,9 @@ impl MoistCluster {
                 "cannot remove shard id {id}: it is the last live shard"
             )));
         }
-        let departed = Arc::clone(&old.shards[pos]);
         let mut shards = old.shards.clone();
         let mut weights = old.weights.clone();
-        shards.remove(pos);
+        let departed = shards.remove(pos);
         weights.remove(pos);
         let new = Membership {
             epoch: old.epoch + 1,
@@ -1172,32 +1137,10 @@ impl MoistCluster {
             splits: Arc::clone(&old.splits),
             replicas: old.replicas,
         };
-
-        // Seqlock odd phase (see `add_shard`). The migration loop hands
-        // exactly the departed shard's keys (the only ones whose winner
-        // changes) to their new owners at their current deadline phase.
-        self.version.fetch_add(1, Ordering::AcqRel);
-        let migrated = self.migrate_ownership(&old, &new);
-        self.epoch_migrations.fetch_add(migrated, Ordering::Relaxed);
-        if old.replicas > 1 {
-            // Rendezvous ranks are prefix-stable under a leave: every
-            // migrated key's new primary is exactly its old rank-1
-            // follower, already warm on the key's reads — each handover
-            // is an instant follower promotion.
-            self.promotions.fetch_add(migrated, Ordering::Relaxed);
-        }
-        let mut retired = self.retired.lock();
-        retired.entries.push(departed);
-        retired.compact();
-        drop(retired);
-        *guard = Arc::new(new);
-        self.version.fetch_add(1, Ordering::AcqRel);
-        // Drain-and-reroute: anything buffered for the departed shard
-        // (or any other) applies now, under the survivors' ownership —
-        // an acknowledged submission is never stranded behind a dead
-        // shard's queue key.
-        drop(guard);
-        self.drain_ingest()?;
+        // Only the departed shard's keys change winner; each goes to its
+        // new owner at its current deadline phase, and anything buffered
+        // for the departed shard applies under the survivors' ownership.
+        self.publish(guard, new, &self.epoch_migrations, Some(departed))?;
         Ok(())
     }
 
@@ -1216,11 +1159,11 @@ impl MoistCluster {
     ///   remap. Under-utilized shards symmetrically grow. A dead-band
     ///   around the mean keeps a level fleet from oscillating.
     /// * **Splits** — per-cell EWMA update rates (the load layer) merge
-    ///   across shards; cells whose rate exceeds [`HOT_SPLIT_FACTOR`]×
+    ///   across shards; cells whose rate exceeds `HOT_SPLIT_FACTOR`×
     ///   the mean cell rate split one level finer (bounded by
-    ///   [`MAX_SPLIT_CELLS`]), so a single business-center cell stops
+    ///   `MAX_SPLIT_CELLS`), so a single business-center cell stops
     ///   pinning whichever shard owns it. Split cells whose demand later
-    ///   fades below [`UNSPLIT_FACTOR`]× the mean **un-split** — the four
+    ///   fades below `UNSPLIT_FACTOR`× the mean **un-split** — the four
     ///   children reunite through the same handover path — so the split
     ///   table's cap recycles as the hot spot moves.
     /// * **Density & scan prices** — the merged per-cell rates refresh
@@ -1239,7 +1182,7 @@ impl MoistCluster {
     /// the new epoch is already live at that point, so callers see the
     /// placement applied *and* the drain failure.
     pub fn rebalance(&self, now: Timestamp) -> Result<RebalanceReport> {
-        let mut guard = self.membership.write();
+        let guard = self.membership.write();
         let old = Arc::clone(&guard);
 
         // ---- measure: per-shard utilization + merged per-cell rates ----
@@ -1397,7 +1340,6 @@ impl MoistCluster {
             });
         }
 
-        // ---- publish: one epoch bump through the shared handover path ----
         let new = Membership {
             epoch: old.epoch + 1,
             shards: old.shards.clone(),
@@ -1405,16 +1347,7 @@ impl MoistCluster {
             splits: Arc::new(splits),
             replicas: old.replicas,
         };
-        self.version.fetch_add(1, Ordering::AcqRel);
-        let migrated = self.migrate_ownership(&old, &new);
-        self.split_migrations.fetch_add(migrated, Ordering::Relaxed);
-        *guard = Arc::new(new);
-        self.version.fetch_add(1, Ordering::AcqRel);
-        // Same drain-and-reroute as join/leave: the drain's error is the
-        // caller's to see — buffered acknowledged updates that fail to
-        // apply must not vanish behind a successful-looking report.
-        drop(guard);
-        self.drain_ingest()?;
+        let migrated = self.publish(guard, new, &self.split_migrations, None)?;
         Ok(RebalanceReport {
             epoch: old.epoch + 1,
             reweighted,
@@ -1601,17 +1534,8 @@ impl MoistCluster {
     /// clustering cell (or, for a split cell, the child cell) containing
     /// `p`.
     pub fn shard_for_point(&self, p: &Point) -> usize {
-        let leaf = self.cfg.space.leaf_cell(p).index;
         let snap = self.snapshot();
-        let id = snap.owner_of(snap.route_leaf(leaf, &self.cfg)).id;
-        snap.position_of(id).expect("winner is live")
-    }
-
-    /// The position of the rendezvous winner for `key` in the current
-    /// snapshot.
-    fn owner_position(&self, key: u64) -> usize {
-        let snap = self.snapshot();
-        let id = snap.owner_of(key).id;
+        let id = snap.owner_of(snap.route_point(p, &self.cfg)).id;
         snap.position_of(id).expect("winner is live")
     }
 
@@ -1638,13 +1562,6 @@ impl MoistCluster {
         }
     }
 
-    /// The position of the shard answering object-keyed lookups for `oid`
-    /// (pure load spreading — any shard could serve them from the shared
-    /// store).
-    pub fn shard_for_object(&self, oid: ObjectId) -> usize {
-        self.owner_position(oid.0)
-    }
-
     /// Runs `f` against one shard's server by position (stats inspection,
     /// clock resets, direct table access in tests). Fails with
     /// [`MoistError::NoSuchShard`] when `shard` is past the current
@@ -1667,21 +1584,42 @@ impl MoistCluster {
         Ok(f(&server))
     }
 
-    /// Applies one update on the shard owning the update's clustering cell.
+    /// Applies one update on the shard owning the update's clustering
+    /// cell: a one-message [`update_batch`](MoistCluster::update_batch).
+    pub fn update(&self, msg: &UpdateMessage) -> Result<UpdateOutcome> {
+        Ok(self.update_batch(std::slice::from_ref(msg))?[0])
+    }
+
+    /// Applies a batch of updates, each on the shard owning its
+    /// clustering cell, amortizing lock acquisitions and store
+    /// round-trips across each shard's group
+    /// ([`MoistServer::update_batch`]). Outcomes come back in message
+    /// order.
     ///
     /// Routing is seqlock-validated against membership changes: the
-    /// version is read before routing and re-read *after* the owner's
-    /// lock is held; if a join/leave ran (or is running) in between, the
-    /// lock is dropped and routing retries on the new snapshot. This
-    /// keeps the exclusivity invariant — a cell's updates and its
-    /// clustering serialize on the current owner's lock — across epoch
-    /// bumps: without it, an update routed on a pre-bump snapshot could
-    /// mutate a migrated cell's school state on the *old* owner while the
-    /// new owner is already clustering that cell. Read-only queries skip
-    /// the validation deliberately (a stale-routed read still scans a
-    /// consistent store).
-    pub fn update(&self, msg: &UpdateMessage) -> Result<UpdateOutcome> {
-        let leaf = self.cfg.space.leaf_cell(&msg.loc).index;
+    /// version is read before routing and re-read *after* each owner's
+    /// lock is held; a group raced by a join/leave/rebalance drops the
+    /// lock and re-routes on the new snapshot. This keeps the exclusivity
+    /// invariant — a cell's updates and its clustering serialize on the
+    /// current owner's lock — across epoch bumps: without it, an update
+    /// routed on a pre-bump snapshot could mutate a migrated cell's
+    /// school state on the *old* owner while the new owner is already
+    /// clustering that cell. Read-only queries skip the validation
+    /// deliberately (a stale-routed read still scans a consistent store).
+    ///
+    /// A batch that routes to one owner — every single update and most
+    /// queue flushes — goes to it as is, with no grouping or copy.
+    /// Otherwise messages group by owner in first-seen order, so the
+    /// apply order, and with it the virtual-time cost, follows submission
+    /// order. On a store error the already-applied groups stay applied
+    /// (store errors are fatal in this tier, never transient).
+    pub fn update_batch(&self, msgs: &[UpdateMessage]) -> Result<Vec<UpdateOutcome>> {
+        let Some(first) = msgs.first() else {
+            return Ok(Vec::new());
+        };
+        // Both stay empty while the whole batch is still unrouted.
+        let mut out: Vec<Option<UpdateOutcome>> = Vec::new();
+        let mut pending: Vec<usize> = Vec::new();
         loop {
             let v1 = self.version.load(Ordering::Acquire);
             if v1 % 2 == 1 {
@@ -1689,72 +1627,42 @@ impl MoistCluster {
                 std::thread::yield_now();
                 continue;
             }
-            // Routing key and owner come from the same snapshot, so the
-            // split table consulted is the one this epoch's owners were
-            // seeded from.
+            // Routing key and owner come from one snapshot, so the split
+            // table consulted is the one this epoch's owners were seeded
+            // from.
             let snap = self.snapshot();
-            let entry = Arc::clone(snap.owner_of(snap.route_leaf(leaf, &self.cfg)));
-            drop(snap);
-            let mut server = entry.server.write();
-            if self.version.load(Ordering::Acquire) == v1 {
-                return server.update(msg);
+            let owner = |m: &UpdateMessage| snap.owner_of(snap.route_point(&m.loc, &self.cfg));
+            if out.is_empty() {
+                let entry = owner(first);
+                if msgs[1..].iter().all(|m| owner(m).id == entry.id) {
+                    let entry = Arc::clone(entry);
+                    drop(snap);
+                    let mut server = entry.server.write();
+                    if self.version.load(Ordering::Acquire) == v1 {
+                        return server.update_batch(msgs);
+                    }
+                    // Membership moved while we were acquiring the lock;
+                    // this entry may no longer own the cells. Re-route.
+                    continue;
+                }
+                out = vec![None; msgs.len()];
+                pending = (0..msgs.len()).collect();
             }
-            // Membership moved while we were acquiring the lock; this
-            // entry may no longer own the cell. Re-route.
-            drop(server);
-        }
-    }
-
-    /// Applies a batch of updates, each on the shard owning its
-    /// clustering cell, amortizing lock acquisitions and store
-    /// round-trips across each shard's group
-    /// ([`MoistServer::update_batch`]).
-    ///
-    /// Routing holds the same seqlock discipline as
-    /// [`update`](MoistCluster::update), per owner group: messages are
-    /// grouped by the current snapshot's owners, the version is re-read
-    /// after each owner's lock is taken, and groups raced by an epoch
-    /// bump return to the pending set and re-route on the new snapshot —
-    /// so no message in the batch ever lands on a migrated cell's old
-    /// owner. Outcomes come back in message order. On a store error the
-    /// already-applied groups stay applied (store errors are fatal in
-    /// this tier, never transient).
-    pub fn update_batch(&self, msgs: &[UpdateMessage]) -> Result<Vec<UpdateOutcome>> {
-        if msgs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut out: Vec<Option<UpdateOutcome>> = vec![None; msgs.len()];
-        let mut pending: Vec<usize> = (0..msgs.len()).collect();
-        while !pending.is_empty() {
-            let v1 = self.version.load(Ordering::Acquire);
-            if v1 % 2 == 1 {
-                // A membership change is migrating cells right now.
-                std::thread::yield_now();
-                continue;
-            }
-            let snap = self.snapshot();
-            // Group by owner in first-seen order: deterministic apply
-            // order per submission order, so the virtual-time cost model
-            // stays reproducible.
+            // A linear probe: a batch spans at most the fleet's shards.
             let mut groups: Vec<(Arc<ShardEntry>, Vec<usize>)> = Vec::new();
-            let mut slot_of: HashMap<u64, usize> = HashMap::new();
-            for &i in &pending {
-                let leaf = self.cfg.space.leaf_cell(&msgs[i].loc).index;
-                let entry = snap.owner_of(snap.route_leaf(leaf, &self.cfg));
-                let slot = *slot_of.entry(entry.id).or_insert_with(|| {
-                    groups.push((Arc::clone(entry), Vec::new()));
-                    groups.len() - 1
-                });
-                groups[slot].1.push(i);
+            for i in pending.drain(..) {
+                let entry = owner(&msgs[i]);
+                match groups.iter_mut().find(|(e, _)| e.id == entry.id) {
+                    Some((_, idxs)) => idxs.push(i),
+                    None => groups.push((Arc::clone(entry), vec![i])),
+                }
             }
             drop(snap);
-            pending.clear();
             for (entry, idxs) in groups {
                 let mut server = entry.server.write();
                 if self.version.load(Ordering::Acquire) != v1 {
                     // An epoch bump raced this group: its owner may have
                     // changed. Hand the whole group back for re-routing.
-                    drop(server);
                     pending.extend(idxs);
                     continue;
                 }
@@ -1765,11 +1673,13 @@ impl MoistCluster {
                     out[i] = Some(o);
                 }
             }
+            if pending.is_empty() {
+                return Ok(out
+                    .into_iter()
+                    .map(|o| o.expect("every message applied by exactly one group"))
+                    .collect());
+            }
         }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("every message applied by exactly one group"))
-            .collect())
     }
 
     /// Submits one update to the ingestion pipeline instead of applying
@@ -1793,9 +1703,8 @@ impl MoistCluster {
     /// [`drain_ingest`](MoistCluster::drain_ingest) call performs.
     pub fn submit(&self, msg: &UpdateMessage) -> Result<SubmitOutcome> {
         msg.validate()?;
-        let leaf = self.cfg.space.leaf_cell(&msg.loc).index;
         let snap = self.snapshot();
-        let shard = snap.owner_of(snap.route_leaf(leaf, &self.cfg)).id;
+        let shard = snap.owner_of(snap.route_point(&msg.loc, &self.cfg)).id;
         drop(snap);
         match self.ingest.enqueue(&self.ingest_cfg, shard, msg) {
             EnqueueResult::Queued { depth } => Ok(SubmitOutcome::Enqueued { shard, depth }),
@@ -1864,14 +1773,7 @@ impl MoistCluster {
     /// entirely — the current anchor-routed path.
     pub fn nn(&self, center: Point, k: usize, at: Timestamp) -> Result<(Vec<Neighbor>, NnStats)> {
         check_centre(&center)?;
-        let leaf = self.cfg.space.leaf_cell(&center).index;
-        let snap = self.snapshot();
-        let (entry, follower) = self.read_replica(&snap, snap.route_leaf(leaf, &self.cfg));
-        let anchor = Arc::clone(entry);
-        drop(snap);
-        if follower {
-            self.note_replica_read(&anchor);
-        }
+        let anchor = self.reader(|snap| snap.route_point(&center, &self.cfg));
         let level = { anchor.server.read().flag_level(&center, at)? };
         self.nn_scatter(center, k, at, level, &anchor)
     }
@@ -1889,14 +1791,15 @@ impl MoistCluster {
         let snap = self.snapshot();
         // Group the ring's cells by the replica that should *read* them:
         // the least-loaded member of each cell's replica set. At
-        // `replicas == 1` this is exactly the old owner grouping; above
-        // it, a hot cell's reads spread over its followers, and cells
-        // whose replica sets overlap can collapse onto one shard (fewer
-        // partials, same exact merge).
+        // `replicas == 1` this is the owner grouping; above it, a hot
+        // cell's reads spread over its followers, and cells whose replica
+        // sets overlap can collapse onto one shard (fewer partials, same
+        // exact merge). Follower reads are counted only once the scatter
+        // runs: a ring that collapses onto one shard reads on the anchor.
         let mut by_reader: Vec<(Arc<ShardEntry>, Vec<CellId>, u64)> = Vec::new();
-        // Slot map keyed by shard id: O(ring) grouping (the linear probe
-        // this replaces was O(ring²)) while by_reader keeps first-seen
-        // order, which the scatter and merge below rely on.
+        // Slot map keyed by shard id keeps the grouping O(ring) while
+        // by_reader keeps first-seen order, which the scatter and merge
+        // below rely on.
         let mut slot_of: HashMap<u64, usize> = HashMap::new();
         for &cell in &ring {
             let key = snap.route_leaf(self.leaf_representative(cell), &self.cfg);
@@ -1964,22 +1867,15 @@ impl MoistCluster {
         nn_level: u8,
     ) -> Result<(Vec<Neighbor>, NnStats)> {
         check_centre(&center)?;
-        let leaf = self.cfg.space.leaf_cell(&center).index;
-        let snap = self.snapshot();
-        let (entry, follower) = self.read_replica(&snap, snap.route_leaf(leaf, &self.cfg));
-        let entry = Arc::clone(entry);
-        drop(snap);
-        if follower {
-            self.note_replica_read(&entry);
-        }
+        let entry = self.reader(|snap| snap.route_point(&center, &self.cfg));
         let server = entry.server.read();
         server.nn_at_level(center, k, at, nn_level)
     }
 
     /// Region query, scatter-gathered across the owning shards.
     ///
-    /// The merged leaf ranges are planned once, owner-sliced (an exact
-    /// partition — see [`slice_ranges_by_owner`]), scanned in parallel on
+    /// The merged leaf ranges are planned once, sliced by reader (an exact
+    /// partition — see [`slice_ranges_by_replicas`]), scanned in parallel on
     /// the [`QueryPool`] (one slice per owning shard, each under its own
     /// shard lock), and merged: hits move into one list and each object
     /// dedups exactly once at the merge. `cost_us` in the returned stats
@@ -1992,7 +1888,7 @@ impl MoistCluster {
     ///
     /// Workers re-validate their slice against the freshest membership
     /// snapshot (re-slicing it with the same property-tested
-    /// [`slice_ranges_by_owner`] the dispatch used), so an epoch bump
+    /// [`slice_ranges_by_replicas`] the dispatch used), so an epoch bump
     /// mid-scatter re-routes only the slices whose cells actually
     /// migrated; reads are correct on any shard (one shared store), the
     /// re-route just keeps load on the current owners.
@@ -2016,35 +1912,28 @@ impl MoistCluster {
             let revalidate = round < MAX_REROUTE_ROUNDS;
             let snap = self.snapshot();
             let placement = snap.placement();
-            let slices = if snap.replicas > 1 && snap.shards.len() > 1 {
-                // Replica-aware slicing: each routing key's slice goes to
-                // the least-loaded member of its replica set (one elapsed
-                // snapshot per shard, taken once per round), so a
-                // query-heavy mix spreads a hot key's scans over its
-                // followers instead of pinning the primary.
-                let loads: HashMap<u64, f64> = snap
-                    .shards
+            // Each routing key's slice goes to the least-loaded member of
+            // its replica set (one elapsed snapshot per shard, taken once
+            // per round), so a query-heavy mix spreads a hot key's scans
+            // over its followers instead of pinning the primary. One
+            // replica reads on the primary: no loads needed.
+            let loads: HashMap<u64, f64> = if snap.replicas > 1 {
+                snap.shards
                     .iter()
                     .map(|e| (e.id, e.server.read().elapsed_us()))
-                    .collect();
-                slice_ranges_by_replicas(
-                    &pending,
-                    clustering_level,
-                    leaf_level,
-                    &placement,
-                    &snap.splits,
-                    snap.replicas,
-                    |id| loads.get(&id).copied().unwrap_or(f64::INFINITY),
-                )
+                    .collect()
             } else {
-                slice_ranges_by_placement(
-                    &pending,
-                    clustering_level,
-                    leaf_level,
-                    &placement,
-                    &snap.splits,
-                )
+                HashMap::new()
             };
+            let slices = slice_ranges_by_replicas(
+                &pending,
+                clustering_level,
+                leaf_level,
+                &placement,
+                &snap.splits,
+                snap.replicas,
+                |id| loads.get(&id).copied().unwrap_or(f64::INFINITY),
+            );
             // Balancing pass: the largest owner slices subdivide across
             // idle shards (any shard can scan any range), priced by the
             // load layer's per-cell demand so a short-but-hot range counts
@@ -2182,39 +2071,10 @@ impl MoistCluster {
         Ok((hits, stats))
     }
 
-    /// The pre-fan-out region path: the whole query runs on the single
-    /// shard owning the rectangle's centre cell. Kept as the baseline the
-    /// `fig15_fanout` bench compares scatter-gather against (and the
-    /// right call when a deployment pins queries for cache locality).
-    pub fn region_anchor(
-        &self,
-        rect: &Rect,
-        at: Timestamp,
-        margin: f64,
-    ) -> Result<(Vec<Neighbor>, RegionStats)> {
-        let center = rect.center();
-        let leaf = self.cfg.space.leaf_cell(&center).index;
-        let snap = self.snapshot();
-        let (entry, follower) = self.read_replica(&snap, snap.route_leaf(leaf, &self.cfg));
-        let entry = Arc::clone(entry);
-        drop(snap);
-        if follower {
-            self.note_replica_read(&entry);
-        }
-        let server = entry.server.read();
-        server.region(rect, at, margin)
-    }
-
     /// Current position of one object, routed by object id (any replica
     /// of the id's routing key serves it from the shared store).
     pub fn position(&self, oid: ObjectId, at: Timestamp) -> Result<Option<Point>> {
-        let snap = self.snapshot();
-        let (entry, follower) = self.read_replica(&snap, oid.0);
-        let entry = Arc::clone(entry);
-        drop(snap);
-        if follower {
-            self.note_replica_read(&entry);
-        }
+        let entry = self.reader(|_| oid.0);
         let server = entry.server.read();
         server.position(oid, at)
     }
@@ -2341,7 +2201,10 @@ mod tests {
     fn routes_by_clustering_cell_and_serves_cross_shard_queries() {
         let store = Bigtable::new();
         let cfg = MoistConfig::default();
-        let cluster = MoistCluster::new(&store, cfg, 4).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(4)
+            .build()
+            .unwrap();
         // Spread objects over the whole map so several shards see traffic.
         for i in 0..64u64 {
             let x = 15.0 + 970.0 * (i % 8) as f64 / 8.0;
@@ -2376,7 +2239,10 @@ mod tests {
     fn same_cell_updates_always_hit_the_same_shard() {
         let store = Bigtable::new();
         let cfg = MoistConfig::default();
-        let cluster = MoistCluster::new(&store, cfg, 5).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(5)
+            .build()
+            .unwrap();
         // Points in one clustering cell route identically; the routing
         // agrees with scheduler ownership, so the shard applying a cell's
         // updates is also the only one clustering it.
@@ -2406,7 +2272,10 @@ mod tests {
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 4).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(4)
+            .build()
+            .unwrap();
         let owned: usize = (0..cluster.num_shards())
             .map(|i| {
                 cluster
@@ -2435,7 +2304,10 @@ mod tests {
             clustering_level: 2,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 3).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(3)
+            .build()
+            .unwrap();
         // Two co-moving objects in one cell.
         cluster.update(&msg(1, 100.0, 100.0, 1.0, 0.0)).unwrap();
         cluster.update(&msg(2, 101.0, 100.0, 1.0, 0.0)).unwrap();
@@ -2459,7 +2331,10 @@ mod tests {
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 3).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(3)
+            .build()
+            .unwrap();
         assert_eq!(cluster.epoch(), 0);
         let cells = cells_at_level(cfg.clustering_level);
         // Record each cell's owner *id* and deadline before the join.
@@ -2515,7 +2390,10 @@ mod tests {
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 4).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(4)
+            .build()
+            .unwrap();
         for i in 0..64u64 {
             let x = 15.0 + 970.0 * (i % 8) as f64 / 8.0;
             let y = 15.0 + 970.0 * (i / 8) as f64 / 8.0;
@@ -2575,7 +2453,10 @@ mod tests {
             clustering_level: 3, // 64 cells spread over the shards
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 4).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(4)
+            .build()
+            .unwrap();
         for &(i, x, y) in &scattered(200) {
             cluster.update(&msg(i, x, y, 0.0, 0.0)).unwrap();
         }
@@ -2584,8 +2465,18 @@ mod tests {
             Rect::new(100.0, 100.0, 900.0, 450.0),
             Rect::new(700.0, 700.0, 780.0, 790.0),
         ];
+        // The single-shard baseline: the whole query on the shard owning
+        // the rectangle's centre cell.
+        let anchored = |rect: &Rect| {
+            cluster
+                .with_shard_read(cluster.shard_for_point(&rect.center()), |s| {
+                    s.region(rect, Timestamp::ZERO, 0.0)
+                })
+                .unwrap()
+                .unwrap()
+        };
         for rect in &rects {
-            let (anchor, _) = cluster.region_anchor(rect, Timestamp::ZERO, 0.0).unwrap();
+            let (anchor, _) = anchored(rect);
             let (fanout, stats) = cluster.region(rect, Timestamp::ZERO, 0.0).unwrap();
             let a: Vec<u64> = anchor.iter().map(|n| n.oid.0).collect();
             let f: Vec<u64> = fanout.iter().map(|n| n.oid.0).collect();
@@ -2598,9 +2489,7 @@ mod tests {
         // The whole map genuinely scatters across several shards, and its
         // client-visible cost is the slowest slice, below the serialized
         // anchor scan.
-        let (_, anchor_stats) = cluster
-            .region_anchor(&cfg.space.world, Timestamp::ZERO, 0.0)
-            .unwrap();
+        let (_, anchor_stats) = anchored(&cfg.space.world);
         let (_, fan_stats) = cluster
             .region(&cfg.space.world, Timestamp::ZERO, 0.0)
             .unwrap();
@@ -2624,7 +2513,10 @@ mod tests {
             clustering_level: 3,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 5).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(5)
+            .build()
+            .unwrap();
         for &(i, x, y) in &scattered(300) {
             cluster.update(&msg(i, x, y, 0.0, 0.0)).unwrap();
         }
@@ -2701,7 +2593,10 @@ mod tests {
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 4).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(4)
+            .build()
+            .unwrap();
         let hot = Point::new(437.0, 437.0);
         let hot_cell = cfg.space.cell_at(cfg.clustering_level, &hot).index;
         let hot_shard_before = cluster.shard_for_point(&hot);
@@ -2782,7 +2677,10 @@ mod tests {
             clustering_level: 3,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 4).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(4)
+            .build()
+            .unwrap();
         // Perfectly uniform traffic over the whole map.
         for sec in 0..30u64 {
             for i in 0..64u64 {
@@ -2820,7 +2718,10 @@ mod tests {
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 4).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(4)
+            .build()
+            .unwrap();
         // Skew the fleet hard enough that rebalance publishes a new epoch
         // (same workload shape the hot-cell test pins).
         let hot = Point::new(437.0, 437.0);
@@ -2879,7 +2780,10 @@ mod tests {
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 4).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(4)
+            .build()
+            .unwrap();
         let hot = Point::new(300.0, 300.0);
         let hot_cell = cfg.space.cell_at(cfg.clustering_level, &hot).index;
         for sec in 0..40u64 {
@@ -2916,7 +2820,10 @@ mod tests {
     #[test]
     fn shard_errors_are_typed_not_panics() {
         let store = Bigtable::new();
-        let cluster = MoistCluster::new(&store, MoistConfig::default(), 2).unwrap();
+        let cluster = MoistCluster::builder(&store, MoistConfig::default())
+            .shards(2)
+            .build()
+            .unwrap();
         // Position past the membership.
         let err = cluster.with_shard(7, |_| ()).unwrap_err();
         assert!(matches!(err, MoistError::NoSuchShard(_)), "got {err:?}");
@@ -2939,7 +2846,11 @@ mod tests {
     fn replicated_reads_serve_from_followers_and_stay_correct() {
         let store = Bigtable::new();
         let cfg = MoistConfig::default();
-        let cluster = MoistCluster::new(&store, cfg, 4).unwrap().with_replicas(2);
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(4)
+            .replicas(2)
+            .build()
+            .unwrap();
         assert_eq!(cluster.replicas(), 2);
         for i in 0..64u64 {
             let x = 15.0 + 970.0 * (i % 8) as f64 / 8.0;
@@ -2994,7 +2905,11 @@ mod tests {
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 4).unwrap().with_replicas(2);
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(4)
+            .replicas(2)
+            .build()
+            .unwrap();
         let cells = cells_at_level(cfg.clustering_level);
         let before: Vec<Vec<u64>> = {
             let snap = cluster.snapshot();
@@ -3041,13 +2956,18 @@ mod tests {
         let store_sync = Bigtable::new();
         let store_pipe = Bigtable::new();
         let cfg = MoistConfig::default();
-        let sync = MoistCluster::new(&store_sync, cfg, 4).unwrap();
-        let pipe = MoistCluster::new(&store_pipe, cfg, 4)
-            .unwrap()
-            .with_ingest(IngestConfig {
+        let sync = MoistCluster::builder(&store_sync, cfg)
+            .shards(4)
+            .build()
+            .unwrap();
+        let pipe = MoistCluster::builder(&store_pipe, cfg)
+            .shards(4)
+            .ingest(IngestConfig {
                 batch_size: 16,
                 ..IngestConfig::default()
-            });
+            })
+            .build()
+            .unwrap();
         // Two reporting rounds over a spread map: the second round is
         // refreshes (leaders + sheddable followers), where batching pays.
         let mut msgs = Vec::new();
@@ -3097,13 +3017,15 @@ mod tests {
     #[test]
     fn deadline_flush_applies_a_stranded_trickle() {
         let store = Bigtable::new();
-        let cluster = MoistCluster::new(&store, MoistConfig::default(), 2)
-            .unwrap()
-            .with_ingest(IngestConfig {
+        let cluster = MoistCluster::builder(&store, MoistConfig::default())
+            .shards(2)
+            .ingest(IngestConfig {
                 batch_size: 1000,
                 flush_deadline_secs: 5.0,
                 ..IngestConfig::default()
-            });
+            })
+            .build()
+            .unwrap();
         for i in 0..3u64 {
             let out = cluster.submit(&msg(i, 100.0, 100.0, 1.0, 0.0)).unwrap();
             assert!(matches!(out, SubmitOutcome::Enqueued { .. }));
@@ -3128,14 +3050,16 @@ mod tests {
     /// got.
     fn provoke_full_queue(policy: BackpressurePolicy) -> (MoistCluster, Result<SubmitOutcome>) {
         let store = Bigtable::new();
-        let cluster = MoistCluster::new(&store, MoistConfig::default(), 2)
-            .unwrap()
-            .with_ingest(IngestConfig {
+        let cluster = MoistCluster::builder(&store, MoistConfig::default())
+            .shards(2)
+            .ingest(IngestConfig {
                 batch_size: 4,
                 queue_cap: 5,
                 policy,
                 ..IngestConfig::default()
-            });
+            })
+            .build()
+            .unwrap();
         let p = Point::new(100.0, 100.0);
         let shard_pos = cluster.shard_for_point(&p);
         let pinned = std::sync::atomic::AtomicBool::new(false);
@@ -3227,12 +3151,14 @@ mod tests {
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 3)
-            .unwrap()
-            .with_ingest(IngestConfig {
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(3)
+            .ingest(IngestConfig {
                 batch_size: 1000, // nothing size-flushes: all drain-driven
                 ..IngestConfig::default()
-            });
+            })
+            .build()
+            .unwrap();
         // Buffer a spread of registrations, none applied yet.
         for i in 0..32u64 {
             let x = 20.0 + 960.0 * (i % 8) as f64 / 8.0;
@@ -3270,7 +3196,10 @@ mod tests {
     #[test]
     fn cluster_update_batch_groups_by_owner_and_keeps_order() {
         let store = Bigtable::new();
-        let cluster = MoistCluster::new(&store, MoistConfig::default(), 4).unwrap();
+        let cluster = MoistCluster::builder(&store, MoistConfig::default())
+            .shards(4)
+            .build()
+            .unwrap();
         let mut msgs = Vec::new();
         for i in 0..24u64 {
             let x = 15.0 + 970.0 * (i % 6) as f64 / 6.0;
@@ -3292,77 +3221,51 @@ mod tests {
     }
 
     #[test]
-    fn builder_and_legacy_constructors_build_identical_tiers() {
+    fn builder_sets_every_knob_and_defaults_the_rest() {
         let cfg = MoistConfig::default();
-        let cells = cells_at_level(cfg.clustering_level);
-
-        // `new(n)` vs `builder().shards(n).build()`: same fleet, same
-        // routing table, same defaults everywhere.
-        let legacy = MoistCluster::new(&Bigtable::new(), cfg, 6).unwrap();
-        let built = MoistCluster::builder(&Bigtable::new(), cfg)
+        let plain = MoistCluster::builder(&Bigtable::new(), cfg)
             .shards(6)
             .build()
             .unwrap();
-        assert_eq!(legacy.num_shards(), built.num_shards());
-        assert_eq!(legacy.shard_ids(), built.shard_ids());
-        assert_eq!(legacy.epoch(), built.epoch());
-        assert_eq!(legacy.shard_weights(), built.shard_weights());
-        assert_eq!(legacy.replicas(), built.replicas());
-        assert_eq!(legacy.ingest_config(), built.ingest_config());
-        assert!(legacy.split_cells().is_empty() && built.split_cells().is_empty());
-        assert!(built.controller_config().is_none());
-        for index in 0..cells {
-            let cell = CellId {
-                level: cfg.clustering_level,
-                index,
-            };
-            assert_eq!(
-                legacy.shard_for_cell(cell),
-                built.shard_for_cell(cell),
-                "routing diverged on cell {index}"
-            );
-        }
+        assert_eq!(plain.shard_ids(), (0..6).collect::<Vec<u64>>());
+        assert_eq!(plain.epoch(), 0);
+        assert_eq!(plain.shard_weights(), vec![1.0; 6]);
+        assert_eq!(plain.replicas(), 1);
+        assert_eq!(plain.ingest_config(), IngestConfig::default().normalized());
+        assert!(plain.split_cells().is_empty());
+        assert!(plain.controller_config().is_none());
+        sole_owners(&plain);
 
-        // `with_replicas` / `with_ingest` combinators vs builder knobs.
         let icfg = IngestConfig {
             batch_size: 16,
             queue_cap: 128,
             flush_deadline_secs: 0.25,
             policy: BackpressurePolicy::Shed,
         };
-        let legacy = MoistCluster::new(&Bigtable::new(), cfg, 5)
-            .unwrap()
-            .with_replicas(2)
-            .with_ingest(icfg);
-        let built = MoistCluster::builder(&Bigtable::new(), cfg)
-            .shards(5)
-            .replicas(2)
-            .ingest(icfg)
-            .build()
-            .unwrap();
-        assert_eq!(legacy.replicas(), built.replicas());
-        assert_eq!(legacy.ingest_config(), built.ingest_config());
-        assert_eq!(legacy.epoch(), built.epoch());
-        for index in 0..cells {
-            let cell = CellId {
-                level: cfg.clustering_level,
-                index,
-            };
-            assert_eq!(legacy.shard_for_cell(cell), built.shard_for_cell(cell));
-        }
-        // A controller attached through the builder reports its
-        // (normalized) config back.
         let ccfg = ControllerConfig {
             min_shards: 2,
             max_shards: 8,
             ..ControllerConfig::default()
         };
-        let with_ctl = MoistCluster::builder(&Bigtable::new(), cfg)
-            .shards(2)
+        let tuned = MoistCluster::builder(&Bigtable::new(), cfg)
+            .shards(5)
+            .replicas(2)
+            .ingest(icfg)
             .controller(ccfg)
             .build()
             .unwrap();
-        assert_eq!(with_ctl.controller_config(), Some(ccfg.normalized()));
+        assert_eq!(tuned.replicas(), 2);
+        assert_eq!(tuned.ingest_config(), icfg.normalized());
+        assert_eq!(tuned.controller_config(), Some(ccfg.normalized()));
+        sole_owners(&tuned);
+
+        // Degenerate sizes clamp to one.
+        let tiny = MoistCluster::builder(&Bigtable::new(), cfg)
+            .shards(0)
+            .replicas(0)
+            .build()
+            .unwrap();
+        assert_eq!((tiny.num_shards(), tiny.replicas()), (1, 1));
     }
 
     #[test]
@@ -3374,7 +3277,10 @@ mod tests {
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 4).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(4)
+            .build()
+            .unwrap();
         let hot_a = Point::new(437.0, 437.0);
         let a_cell = cfg.space.cell_at(cfg.clustering_level, &hot_a).index;
         let hot_b = Point::new(100.0, 900.0);
@@ -3457,7 +3363,10 @@ mod tests {
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
-        let cluster = MoistCluster::new(&store, cfg, 4).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(4)
+            .build()
+            .unwrap();
         let dense = Point::new(437.0, 437.0);
         let dense_cell = cfg.space.cell_at(cfg.clustering_level, &dense).index;
         let sparse = Point::new(100.0, 900.0);
@@ -3510,7 +3419,10 @@ mod tests {
             ..MoistConfig::default()
         };
         // A tier with no controller ticks as a no-op.
-        let bare = MoistCluster::new(&store, cfg, 2).unwrap();
+        let bare = MoistCluster::builder(&store, cfg)
+            .shards(2)
+            .build()
+            .unwrap();
         assert!(bare
             .controller_tick(Timestamp::from_secs(1))
             .unwrap()

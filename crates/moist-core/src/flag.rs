@@ -92,16 +92,6 @@ impl FlagTuner {
         }
     }
 
-    /// Cached entries currently held.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Drops every cached level (e.g. after bulk loads).
-    pub fn invalidate(&mut self) {
-        self.cache.clear();
-    }
-
     /// Algorithm 4 fast path: probes the cache for a level covering leaf
     /// `index`, counting a hit when the entry is fresh. Shared access
     /// only — safe under a read guard.
@@ -355,25 +345,5 @@ mod tests {
             .calculate_best_level(&mut s, &t, &cfg, &Point::new(500.0, 500.0), 0)
             .unwrap();
         assert!(level <= 2, "empty space should coarsen, got {level}");
-    }
-
-    #[test]
-    fn invalidate_clears_cache() {
-        let (_st, t, mut s, cfg) = setup(32);
-        scatter(&mut s, &t, &cfg, 100, 0.0, 0.0, 1000.0, 1000.0);
-        let mut tuner = FlagTuner::new(&cfg);
-        tuner
-            .best_level(
-                &mut s,
-                &t,
-                &cfg,
-                &Point::new(1.0, 1.0),
-                100,
-                Timestamp::ZERO,
-            )
-            .unwrap();
-        assert_eq!(tuner.cache_len(), 1);
-        tuner.invalidate();
-        assert_eq!(tuner.cache_len(), 0);
     }
 }

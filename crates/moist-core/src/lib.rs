@@ -67,9 +67,8 @@ pub mod update;
 
 pub use cluster::{
     cluster_cell, cluster_sweep, rendezvous_owner, rendezvous_owners, routing_key_cell,
-    slice_ranges_by_owner, slice_ranges_by_placement, slice_ranges_by_replicas,
-    weighted_rendezvous_owner, weighted_rendezvous_owners, ClusterReport, ClusterScheduler,
-    ShardWeight, SplitTable, SPLIT_CHILD_TAG,
+    slice_ranges_by_replicas, weighted_rendezvous_owner, weighted_rendezvous_owners, ClusterReport,
+    ClusterScheduler, ShardWeight, SplitTable, SPLIT_CHILD_TAG,
 };
 pub use cluster_tier::{
     ClusterBuilder, ClusterStats, MoistCluster, RebalanceReport, ShardLoadStats,

@@ -205,11 +205,6 @@ impl LoadTracker {
             (u + r.update_rate, q + r.query_rate)
         })
     }
-
-    /// Number of cells currently tracked.
-    pub fn tracked_cells(&self) -> usize {
-        self.cells.len()
-    }
 }
 
 /// Folds every window that closed before `now_us` into the EWMA: the
@@ -274,7 +269,7 @@ mod tests {
         assert!(later < hot / 4.0, "{later} vs {hot}");
         // Long silence prunes the cell entirely.
         assert!(t.rates(at(500.0)).is_empty());
-        assert_eq!(t.tracked_cells(), 0);
+        assert!(t.cells.is_empty());
     }
 
     #[test]

@@ -220,15 +220,8 @@ impl MoistServer {
     /// Attaches the PPP archiver: every non-shed location write is also
     /// streamed into the aged-data pipeline.
     pub fn with_archiver(mut self, archiver: Arc<PppArchiver>) -> Self {
-        self.set_archiver(archiver);
-        self
-    }
-
-    /// In-place variant of [`with_archiver`](MoistServer::with_archiver)
-    /// for servers already behind a lock (the cluster tier attaches the
-    /// shared archiver to every live shard this way).
-    pub fn set_archiver(&mut self, archiver: Arc<PppArchiver>) {
         self.archiver = Some(archiver);
+        self
     }
 
     /// Replaces the clustering scheduler (a cluster tier hands each shard
@@ -337,7 +330,7 @@ impl MoistServer {
     }
 
     /// Re-seeds the object estimate from the store's row count immediately
-    /// (also runs lazily every [`ESTIMATE_REFRESH_OPS`] updates).
+    /// (also runs lazily every `ESTIMATE_REFRESH_OPS` updates).
     ///
     /// `fetch_max`, not `store`: a plain store would erase a registration
     /// another shard counted between our row-count read and the write.
@@ -417,7 +410,6 @@ impl MoistServer {
 
     /// k-nearest-neighbour query with FLAG-tuned level.
     pub fn nn(&self, center: Point, k: usize, at: Timestamp) -> Result<(Vec<Neighbor>, NnStats)> {
-        check_centre(&center)?;
         // One session threads FLAG's probes and the NN scan, so the
         // charge sequence matches the old shared-session design exactly.
         let mut s = self.charged_session();
@@ -434,7 +426,6 @@ impl MoistServer {
         at: Timestamp,
         nn_level: u8,
     ) -> Result<(Vec<Neighbor>, NnStats)> {
-        check_centre(&center)?;
         self.nn_with_options(center, at, &NnOptions::new(k, nn_level))
     }
 
@@ -450,6 +441,8 @@ impl MoistServer {
         self.nn_with_options_in(&mut s, center, at, opts)
     }
 
+    /// The NN body every entry point shares; rejects a non-finite centre
+    /// before it reaches a scan.
     fn nn_with_options_in(
         &self,
         s: &mut Session,
@@ -457,6 +450,7 @@ impl MoistServer {
         at: Timestamp,
         opts: &NnOptions,
     ) -> Result<(Vec<Neighbor>, NnStats)> {
+        check_centre(&center)?;
         let out = nn_query(s, &self.tables, &self.cfg, center, at, opts)?;
         self.stats.nn_queries.fetch_add(1, Ordering::Relaxed);
         let cell = self.cfg.space.cell_at(self.cfg.clustering_level, &center);
@@ -476,8 +470,10 @@ impl MoistServer {
     /// case) and Algorithm 3's probe loop run under the *read* guard;
     /// the write guard is taken only to install a re-tuned level. Two
     /// racing misses may both recompute — both arrive at the same
-    /// answer, and the cache insert is idempotent.
+    /// answer, and the cache insert is idempotent. A non-finite `loc` is
+    /// rejected before it can probe or install a level.
     fn flag_level_in(&self, s: &mut Session, loc: &Point, n: u64, at: Timestamp) -> Result<u8> {
+        check_centre(loc)?;
         let index = self.cfg.space.leaf_cell(loc).index;
         let stale_key = match self.flag.read().lookup(index, at) {
             FlagLookup::Hit(level) => return Ok(level),

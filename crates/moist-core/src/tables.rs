@@ -143,32 +143,6 @@ impl MoistTables {
         }
     }
 
-    /// All in-memory location records of `oid`, newest first.
-    pub fn location_history(
-        &self,
-        s: &mut Session,
-        oid: ObjectId,
-    ) -> Result<Vec<(Timestamp, LocationRecord)>> {
-        let row = s.get_row(
-            &self.location,
-            &RowKey::from_u64(oid.0),
-            &ReadOptions {
-                families: Some(vec![cols::LOC_MEM.into()]),
-                latest_only: false,
-            },
-        )?;
-        let mut out = Vec::new();
-        if let Some(row) = row {
-            for entry in row.family(cols::LOC_MEM) {
-                for cell in &entry.cells {
-                    out.push((cell.ts, LocationRecord::decode(&cell.value)?));
-                }
-            }
-        }
-        out.sort_by_key(|&(ts, _)| std::cmp::Reverse(ts));
-        Ok(out)
-    }
-
     /// Batch-fetches the latest location records of many objects.
     pub fn batch_latest_locations(
         &self,
@@ -224,16 +198,6 @@ impl MoistTables {
                 ts,
                 rec.encode().to_vec(),
             )],
-        )?;
-        Ok(())
-    }
-
-    /// Removes a leader's entry from `leaf_index`.
-    pub fn spatial_remove(&self, s: &mut Session, leaf_index: u64, oid: ObjectId) -> Result<()> {
-        s.mutate_row(
-            &self.spatial,
-            &Self::spatial_key(leaf_index, oid),
-            &[Mutation::DeleteRow],
         )?;
         Ok(())
     }
@@ -297,14 +261,6 @@ impl MoistTables {
         Ok(self.spatial_scan_cell(s, cell, leaf_level, None)?.len())
     }
 
-    /// Applies a prepared batch of spatial mutations (clustering write phase).
-    pub fn spatial_batch(&self, s: &mut Session, batch: &[RowMutation]) -> Result<usize> {
-        if batch.is_empty() {
-            return Ok(0);
-        }
-        Ok(s.mutate_rows(&self.spatial, batch)?)
-    }
-
     /// Builds (without applying) a delete mutation for a spatial entry.
     pub fn spatial_delete_mutation(leaf_index: u64, oid: ObjectId) -> RowMutation {
         RowMutation::new(
@@ -357,25 +313,6 @@ impl MoistTables {
             None => Ok(None),
             Some(cell) => Ok(Some((cell.ts, LfRecord::decode(&cell.value)?))),
         }
-    }
-
-    /// Batch-fetches L/F records (clustering's batch read).
-    pub fn batch_lf(&self, s: &mut Session, oids: &[ObjectId]) -> Result<Vec<Option<LfRecord>>> {
-        let keys: Vec<RowKey> = oids.iter().map(|o| RowKey::from_u64(o.0)).collect();
-        let rows = s.batch_get(
-            &self.affiliation,
-            &keys,
-            &ReadOptions::latest_in(cols::LF_MEM),
-        )?;
-        rows.into_iter()
-            .map(|row| match row {
-                None => Ok(None),
-                Some(r) => match r.latest(cols::LF_MEM, cols::LF_Q) {
-                    None => Ok(None),
-                    Some(cell) => Ok(Some(LfRecord::decode(&cell.value)?)),
-                },
-            })
-            .collect()
     }
 
     /// Batch-fetches L/F records *with their head timestamps* — the
@@ -513,7 +450,7 @@ impl MoistTables {
     }
 
     /// Writes the L/F record of `oid`. The write lands at a clamped
-    /// timestamp ([`lf_supersede_ts`](Self::lf_supersede_ts)): an L/F
+    /// timestamp (`lf_supersede_ts`): an L/F
     /// write always supersedes the current record, even when the writer's
     /// virtual clock trails a clustering tick that stamped the head far
     /// ahead of it.
@@ -560,7 +497,7 @@ impl MoistTables {
     /// follower that promoted concurrently (its update rewrote the record
     /// on another shard) fails the check and keeps its self-chosen
     /// affiliation. The replacement lands at a clamped timestamp
-    /// ([`lf_supersede_ts`](Self::lf_supersede_ts)) so a writer with a
+    /// (`lf_supersede_ts`) so a writer with a
     /// lagging clock still supersedes the record it matched.
     pub fn lf_check_and_set(
         &self,
@@ -686,17 +623,6 @@ impl MoistTables {
             )],
         )?;
         Ok(())
-    }
-
-    /// Builds (without applying) the remove-follower mutation.
-    pub fn remove_follower_mutation(leader: ObjectId, follower: ObjectId) -> RowMutation {
-        RowMutation::new(
-            RowKey::from_u64(leader.0),
-            vec![Mutation::delete_column(
-                cols::FOLLOWERS,
-                follower_qualifier(follower),
-            )],
-        )
     }
 
     /// Builds a mutation clearing a leader's whole Follower Info (used when
@@ -878,7 +804,7 @@ mod tests {
     }
 
     #[test]
-    fn location_roundtrip_and_history_order() {
+    fn location_roundtrip_keeps_the_newest_record_latest() {
         let (_store, t, mut s) = setup();
         let oid = ObjectId(5);
         for ts in [1u64, 3, 2] {
@@ -888,9 +814,6 @@ mod tests {
         let (ts, latest) = t.latest_location(&mut s, oid).unwrap().unwrap();
         assert_eq!(ts, Timestamp(3));
         assert_eq!(latest.loc.x, 3.0);
-        let hist = t.location_history(&mut s, oid).unwrap();
-        assert_eq!(hist.len(), 3);
-        assert!(hist.windows(2).all(|w| w[0].0 > w[1].0), "newest first");
         assert!(t.latest_location(&mut s, ObjectId(99)).unwrap().is_none());
     }
 
@@ -948,8 +871,6 @@ mod tests {
             .is_empty());
         let cc2 = cfg.space.cell_at(cfg.clustering_level, &p2);
         assert_eq!(t.spatial_count_cell(&mut s, cc2, leaf_level).unwrap(), 1);
-        t.spatial_remove(&mut s, leaf2, ObjectId(7)).unwrap();
-        assert_eq!(t.spatial_count_cell(&mut s, cc2, leaf_level).unwrap(), 0);
     }
 
     #[test]
@@ -1002,7 +923,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_lf_and_batch_followers() {
+    fn batch_lf_versions_and_batch_followers() {
         let (_store, t, mut s) = setup();
         t.set_lf(
             &mut s,
@@ -1022,7 +943,9 @@ mod tests {
             Timestamp(0),
         )
         .unwrap();
-        let lfs = t.batch_lf(&mut s, &[ObjectId(1), ObjectId(2)]).unwrap();
+        let lfs = t
+            .batch_lf_versions(&mut s, &[ObjectId(1), ObjectId(2)])
+            .unwrap();
         assert!(lfs[0].is_some() && lfs[1].is_none());
         let fols = t
             .batch_followers(&mut s, &[ObjectId(1), ObjectId(2)])

@@ -168,10 +168,20 @@ fn non_finite_query_centres_and_rects_are_invalid_input() {
             other => panic!("{what}: expected InvalidInput, got {other:?}"),
         }
     }
+    let flag_before = server.flag_stats();
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         let centre = Point::new(bad, 100.0);
         invalid(server.nn(centre, 1, at), "server nn");
         invalid(server.nn_at_level(centre, 1, at, 8), "server nn_at_level");
+        invalid(server.flag_level(&centre, at), "server flag_level");
+        invalid(
+            server.nn_with_options(centre, at, &NnOptions::new(1, 8)),
+            "server nn_with_options",
+        );
+        invalid(
+            server.nn_predictive(centre, 1, at, 5.0, 8),
+            "server nn_predictive",
+        );
         invalid(cluster.nn(centre, 1, at), "cluster nn");
         invalid(cluster.nn_at_level(centre, 1, at, 8), "cluster nn_at_level");
         // `Rect::new` drops a NaN corner, so build the corners directly.
@@ -184,6 +194,8 @@ fn non_finite_query_centres_and_rects_are_invalid_input() {
         invalid(server.region(&rect, at, 0.0), "server region");
         invalid(cluster.region(&rect, at, 0.0), "cluster region");
     }
+    // A rejected centre never probed FLAG or installed a level.
+    assert_eq!(server.flag_stats(), flag_before);
     // Finite inputs still answer.
     let (nn, _) = cluster.nn(Point::new(100.0, 100.0), 1, at).unwrap();
     assert_eq!(nn[0].oid, ObjectId(1));

@@ -22,7 +22,7 @@
 //! 7. **split-table agreement** — with weights and hot-cell splits in
 //!    play, [`ClusterScheduler::for_placement`] slices still partition
 //!    the routing keys exactly and agree with the weighted owner of every
-//!    leaf's routing key, and [`slice_ranges_by_placement`] remains an
+//!    leaf's routing key, and [`slice_ranges_by_replicas`] remains an
 //!    exact partition of any range set.
 //!
 //! The replicated-ownership layer extends it again (same suite):
@@ -33,23 +33,29 @@
 //! 9. **prefix stability** — a join or leave never reorders the surviving
 //!    members of a replica set: a leave promotes the next-ranked member in
 //!    place, a join can only insert the joiner (possibly displacing the
-//!    tail) — the property instant follower promotion rests on.
+//!    tail) — the property instant follower promotion rests on;
+//! 10. **replica slicing** — for 1–3 replicas, split cells and any load
+//!     signal, [`slice_ranges_by_replicas`] partitions a range set
+//!     exactly and hands each piece to a member of its key's replica set:
+//!     the weighted primary at one replica, a follower only when it is
+//!     strictly less loaded.
 //!
 //! The pipelined ingestion layer extends it again (same suite):
 //!
-//! 10. **epoch-crossing flush** — a batch enqueued under epoch E and
+//! 11. **epoch-crossing flush** — a batch enqueued under epoch E and
 //!     drained by a join or leave under epoch E+1 lands every update on
 //!     its key's *current* rank-0 primary exactly once: enqueue-time
 //!     routing is advisory, apply-time routing is authoritative.
 
 use moist_bigtable::{Bigtable, Timestamp};
 use moist_core::{
-    rendezvous_owner, rendezvous_owners, slice_ranges_by_owner, slice_ranges_by_placement,
-    weighted_rendezvous_owner, weighted_rendezvous_owners, ClusterScheduler, IngestConfig,
-    MoistCluster, MoistConfig, ObjectId, ShardWeight, SplitTable, SubmitOutcome, UpdateMessage,
+    rendezvous_owner, rendezvous_owners, slice_ranges_by_replicas, weighted_rendezvous_owner,
+    weighted_rendezvous_owners, ClusterScheduler, IngestConfig, MoistCluster, MoistConfig,
+    ObjectId, ShardWeight, SplitTable, SubmitOutcome, UpdateMessage,
 };
 use moist_spatial::{Point, Velocity};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// A membership of 1–12 distinct shard ids drawn from a wide id space
 /// (ids are never reused in the tier, so gaps and large values are the
@@ -73,6 +79,53 @@ fn shuffled(rng: &mut TestRng, mut ids: Vec<u64>) -> Vec<u64> {
         ids.swap(i, j);
     }
     ids
+}
+
+/// Up to `max` disjoint, non-adjacent merged ranges over the leaf span —
+/// the shape `plan_region_ranges` produces (gaps of 1..=`gap` keep them
+/// maximal); the full span when the level is too small for any.
+fn random_ranges(rng: &mut TestRng, leaf_level: u8, max: usize, gap: u64) -> Vec<(u64, u64)> {
+    let leaf_span = 1u64 << (2 * leaf_level as u64);
+    let mut ranges: Vec<(u64, u64)> = Vec::new();
+    let mut cursor = rng.below(8);
+    while cursor < leaf_span && ranges.len() < max {
+        let len = 1 + rng.below(leaf_span.div_ceil(6).max(1));
+        let end = (cursor + len).min(leaf_span);
+        ranges.push((cursor, end));
+        cursor = end + 1 + rng.below(gap);
+    }
+    if ranges.is_empty() {
+        ranges.push((0, leaf_span));
+    }
+    ranges
+}
+
+/// An arbitrary per-shard load, non-finite values included: the slicer
+/// must partition exactly whatever the load signal reads.
+fn random_loads(rng: &mut TestRng, ids: &[u64]) -> HashMap<u64, f64> {
+    let choices = [0.0, 1.0, 5.0, 250.0, f64::INFINITY, f64::NAN];
+    ids.iter()
+        .map(|&id| (id, choices[rng.below(choices.len() as u64) as usize]))
+        .collect()
+}
+
+/// Flattens every shard's slices, checks they never overlap, and
+/// re-merges adjacent pieces: an exact partition rebuilds the input
+/// range set — no leaf index dropped, duplicated, or moved.
+fn rebuilt(slices: &[(u64, Vec<(u64, u64)>)]) -> Vec<(u64, u64)> {
+    let mut flat: Vec<(u64, u64)> = slices.iter().flat_map(|(_, s)| s.iter().copied()).collect();
+    flat.sort_unstable();
+    for pair in flat.windows(2) {
+        prop_assert!(pair[0].1 <= pair[1].0, "overlapping slices: {:?}", pair);
+    }
+    let mut out: Vec<(u64, u64)> = Vec::new();
+    for (start, end) in flat {
+        match out.last_mut() {
+            Some((_, e)) if *e == start => *e = end,
+            _ => out.push((start, end)),
+        }
+    }
+    out
 }
 
 proptest! {
@@ -157,26 +210,22 @@ proptest! {
     fn owner_sliced_ranges_exactly_partition_the_range_set(seed in any::<u32>()) {
         let mut rng = TestRng::for_case("owner_slices", seed);
         let ids = membership(&mut rng, 10);
+        let members: Vec<ShardWeight> = ids.iter().map(|&id| ShardWeight::unit(id)).collect();
         let clustering_level = (rng.below(6) + 1) as u8; // 1..=6
         let leaf_level = clustering_level + (rng.below(5) as u8); // up to +4 finer
-        let leaf_span = 1u64 << (2 * leaf_level as u64);
         let shift = 2 * (leaf_level - clustering_level) as u64;
+        let ranges = random_ranges(&mut rng, leaf_level, 24, 16);
+        let loads = random_loads(&mut rng, &ids);
 
-        // A random set of disjoint, non-adjacent merged ranges — the shape
-        // `plan_region_ranges` produces (gaps >= 1 keep them maximal).
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        let mut cursor = rng.below(8);
-        while cursor < leaf_span && ranges.len() < 24 {
-            let len = 1 + rng.below(leaf_span.div_ceil(6).max(1));
-            let end = (cursor + len).min(leaf_span);
-            ranges.push((cursor, end));
-            cursor = end + 1 + rng.below(16);
-        }
-        if ranges.is_empty() {
-            ranges.push((0, leaf_span)); // tiny level: fall back to the full span
-        }
-
-        let slices = slice_ranges_by_owner(&ranges, clustering_level, leaf_level, &ids);
+        let slices = slice_ranges_by_replicas(
+            &ranges,
+            clustering_level,
+            leaf_level,
+            &members,
+            &SplitTable::new(),
+            1,
+            |id| loads[&id],
+        );
 
         // Every slice belongs to the rendezvous owner of every clustering
         // cell it spans.
@@ -192,23 +241,69 @@ proptest! {
                 }
             }
         }
+        prop_assert_eq!(rebuilt(&slices), ranges, "slices do not rebuild the input range set");
+    }
 
-        // Exact partition: flattening every owner's slices and re-merging
-        // adjacency reproduces the input ranges — no leaf index dropped,
-        // duplicated, or moved.
-        let mut flat: Vec<(u64, u64)> = slices.iter().flat_map(|(_, s)| s.iter().copied()).collect();
-        flat.sort_unstable();
-        for pair in flat.windows(2) {
-            prop_assert!(pair[0].1 <= pair[1].0, "overlapping slices: {:?}", pair);
-        }
-        let mut rebuilt: Vec<(u64, u64)> = Vec::new();
-        for (start, end) in flat {
-            match rebuilt.last_mut() {
-                Some((_, e)) if *e == start => *e = end,
-                _ => rebuilt.push((start, end)),
+    #[test]
+    fn replica_sliced_ranges_exactly_partition_the_range_set(seed in any::<u32>()) {
+        let mut rng = TestRng::for_case("replica_slices", seed);
+        let ids = membership(&mut rng, 8);
+        let members: Vec<ShardWeight> = ids
+            .iter()
+            .map(|&id| ShardWeight {
+                id,
+                weight: 0.5 + rng.below(6) as f64 / 2.0,
+            })
+            .collect();
+        let clustering_level = (rng.below(5) + 1) as u8; // 1..=5
+        let leaf_level = clustering_level + (rng.below(5) as u8); // up to +4 finer
+        let mut splits = SplitTable::new();
+        if leaf_level > clustering_level {
+            let cells = 1u64 << (2 * clustering_level as u64);
+            for _ in 0..rng.below(4) {
+                splits.split(rng.below(cells));
             }
         }
-        prop_assert_eq!(rebuilt, ranges, "slices do not rebuild the input range set");
+        let replicas = 1 + rng.below(3) as usize; // 1..=3
+        let ranges = random_ranges(&mut rng, leaf_level, 24, 16);
+        let loads = random_loads(&mut rng, &ids);
+        let load = |id: u64| loads[&id];
+
+        let slices = slice_ranges_by_replicas(
+            &ranges,
+            clustering_level,
+            leaf_level,
+            &members,
+            &splits,
+            replicas,
+            load,
+        );
+        prop_assert_eq!(rebuilt(&slices), ranges, "slices do not rebuild the input range set");
+
+        // Walk every slice at routing-key granularity (child cells when
+        // split cells are possible): each key's piece went to a member of
+        // its replica set — exactly the weighted primary at `replicas == 1`,
+        // and a follower only when it is strictly less loaded.
+        let step = 2 * (leaf_level - clustering_level).saturating_sub(1) as u64;
+        for (reader, slice) in &slices {
+            for &(start, end) in slice {
+                for unit in (start >> step)..=((end - 1) >> step) {
+                    let leaf = (unit << step).max(start);
+                    let key = splits.route_leaf(leaf, clustering_level, leaf_level);
+                    let set = weighted_rendezvous_owners(key, &members, replicas);
+                    prop_assert!(
+                        set.contains(reader),
+                        "leaf {} (key {:#x}) read by {} outside its replica set {:?}",
+                        leaf, key, reader, set
+                    );
+                    if replicas == 1 {
+                        prop_assert_eq!(*reader, weighted_rendezvous_owner(key, &members));
+                    } else if *reader != set[0] {
+                        prop_assert!(load(*reader) < load(set[0]), "follower read without a load win");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -349,8 +444,8 @@ proptest! {
             prop_assert!(scheds[pos].owns(key), "leaf {} schedules elsewhere", leaf);
         }
 
-        // slice_ranges_by_placement stays an exact partition with weights
-        // and splits in play.
+        // The range slicer stays an exact partition with weights and
+        // splits in play, and every slice's leaves route to its owner.
         let mut ranges: Vec<(u64, u64)> = Vec::new();
         let mut cursor = rng.below(1 << 8);
         while cursor < leaf_span && ranges.len() < 16 {
@@ -362,27 +457,17 @@ proptest! {
         if ranges.is_empty() {
             ranges.push((0, leaf_span));
         }
-        let slices = slice_ranges_by_placement(
+        let loads = random_loads(&mut rng, &ids);
+        let slices = slice_ranges_by_replicas(
             &ranges,
             cfg.clustering_level,
             leaf_level,
             &members,
             &splits,
+            1,
+            |id| loads[&id],
         );
-        let mut flat: Vec<(u64, u64)> = slices.iter().flat_map(|(_, s)| s.iter().copied()).collect();
-        flat.sort_unstable();
-        for pair in flat.windows(2) {
-            prop_assert!(pair[0].1 <= pair[1].0, "overlapping slices: {:?}", pair);
-        }
-        let mut rebuilt: Vec<(u64, u64)> = Vec::new();
-        for (start, end) in flat {
-            match rebuilt.last_mut() {
-                Some((_, e)) if *e == start => *e = end,
-                _ => rebuilt.push((start, end)),
-            }
-        }
-        prop_assert_eq!(rebuilt, ranges, "placement slices do not rebuild the input");
-        // And every slice's leaves route to its owner.
+        prop_assert_eq!(rebuilt(&slices), ranges, "placement slices do not rebuild the input");
         for (owner, slice) in &slices {
             for &(start, end) in slice {
                 for leaf in [start, end - 1] {

@@ -14,8 +14,8 @@
 
 use moist::bigtable::{Bigtable, Timestamp};
 use moist::core::{
-    plan_region_ranges, slice_ranges_by_owner, MoistCluster, MoistConfig, MoistServer, ObjectId,
-    UpdateMessage,
+    plan_region_ranges, slice_ranges_by_replicas, MoistCluster, MoistConfig, MoistServer, ObjectId,
+    ShardWeight, SplitTable, UpdateMessage,
 };
 use moist::spatial::{Point, Velocity};
 use moist::workload::ClientPool;
@@ -89,11 +89,19 @@ fn region_fanout_matches_the_oracle_while_shards_join_and_leave() {
     // below would not scatter at all.
     let world = cfg.space.world;
     let ranges = plan_region_ranges(&cfg, &world, MARGIN);
-    let slices = slice_ranges_by_owner(
+    let members: Vec<ShardWeight> = cluster
+        .shard_ids()
+        .into_iter()
+        .map(ShardWeight::unit)
+        .collect();
+    let slices = slice_ranges_by_replicas(
         &ranges,
         cfg.clustering_level,
         cfg.space.leaf_level,
-        &cluster.shard_ids(),
+        &members,
+        &SplitTable::new(),
+        1,
+        |_| 0.0,
     );
     assert!(
         slices.len() >= 3,

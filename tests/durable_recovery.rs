@@ -1,7 +1,7 @@
 //! Kill-style durability test for the cluster tier: 8 threads push
 //! acknowledged updates through a durable [`MoistCluster`], the whole
 //! tier (and its store) is dropped with no graceful shutdown, and
-//! [`MoistCluster::recover`] must rebuild a tier that still answers with
+//! `ClusterBuilder::recover` must rebuild a tier that still answers with
 //! every acknowledged update — twice, because replay is idempotent.
 
 use moist::bigtable::{Bigtable, Durability, StoreConfig, Timestamp};
@@ -52,7 +52,10 @@ fn msg(oid: u64, x: f64, y: f64, secs: f64) -> UpdateMessage {
 fn acknowledged_cluster_updates_survive_a_crash() {
     let dir = test_dir("kill");
     let store = Bigtable::with_config(durable_config(&dir));
-    let cluster = MoistCluster::new(&store, tier_config(), SHARDS).unwrap();
+    let cluster = MoistCluster::builder(&store, tier_config())
+        .shards(SHARDS)
+        .build()
+        .unwrap();
 
     // 8 threads race synchronous updates; each records (oid, ts, loc)
     // only after `update` returned Ok — the durable acknowledgement.
@@ -98,8 +101,10 @@ fn acknowledged_cluster_updates_survive_a_crash() {
     drop(cluster);
     drop(store); // crash: no checkpoint, no drain, nothing graceful
 
-    let (_store, recovered, report) =
-        MoistCluster::recover(durable_config(&dir), tier_config(), SHARDS).unwrap();
+    let (_store, recovered, report) = MoistCluster::builder(&Bigtable::new(), tier_config())
+        .shards(SHARDS)
+        .recover(durable_config(&dir))
+        .unwrap();
     assert!(report.tables >= 3, "all MOIST tables recover: {report:?}");
     assert!(report.replayed_records > 0);
     // Every object's last acknowledged position is served back.
@@ -116,8 +121,10 @@ fn acknowledged_cluster_updates_survive_a_crash() {
 
     // Idempotent re-recovery: same files, same answers.
     drop(recovered);
-    let (_store2, again, report2) =
-        MoistCluster::recover(durable_config(&dir), tier_config(), SHARDS).unwrap();
+    let (_store2, again, report2) = MoistCluster::builder(&Bigtable::new(), tier_config())
+        .shards(SHARDS)
+        .recover(durable_config(&dir))
+        .unwrap();
     assert_eq!(report2.replayed_records, report.replayed_records);
     for (oid, (ts, loc)) in &latest {
         let got = again.position(ObjectId(*oid), *ts).unwrap().unwrap();
@@ -165,8 +172,7 @@ fn builder_recover_preserves_replica_ingest_and_controller_config() {
     drop(store); // crash
 
     // The builder's recovery path carries every knob to the rebuilt
-    // fleet — this is the fix for the old `MoistCluster::recover`, which
-    // silently came back with default replica/ingest settings.
+    // fleet.
     let (_store, recovered, report) = MoistCluster::builder(&Bigtable::new(), tier_config())
         .shards(SHARDS)
         .replicas(2)
@@ -201,7 +207,10 @@ fn builder_recover_preserves_replica_ingest_and_controller_config() {
 fn checkpoint_drains_ingest_before_snapshotting() {
     let dir = test_dir("ckpt");
     let store = Bigtable::with_config(durable_config(&dir));
-    let cluster = MoistCluster::new(&store, tier_config(), 2).unwrap();
+    let cluster = MoistCluster::builder(&store, tier_config())
+        .shards(2)
+        .build()
+        .unwrap();
     // Buffer updates through the async path; none are applied yet.
     for i in 0..10u64 {
         cluster
@@ -216,8 +225,10 @@ fn checkpoint_drains_ingest_before_snapshotting() {
     // logs were truncated by the checkpoint, so nothing replays).
     drop(cluster);
     drop(store);
-    let (_store, recovered, report) =
-        MoistCluster::recover(durable_config(&dir), tier_config(), 2).unwrap();
+    let (_store, recovered, report) = MoistCluster::builder(&Bigtable::new(), tier_config())
+        .shards(2)
+        .recover(durable_config(&dir))
+        .unwrap();
     assert_eq!(report.replayed_records, 0, "{report:?}");
     for i in 0..10u64 {
         let got = recovered
